@@ -1421,11 +1421,7 @@ def tenant_fairness(
             "cold_commits": len(cold_pool),
             "elapsed_s": clock.now_s,
             "registry": stack.chip.tenants.as_dict(),
-            "share_stalls": (
-                stack.device.queue.share_stalls
-                if stack.device.queue is not None
-                else 0
-            ),
+            "share_stalls": stack.device.queue_stats.share_stalls,
         }
 
     result_rows = []
@@ -1514,18 +1510,18 @@ def barrier_comparison(
         workload.load()
         run = workload.run(transactions=transactions, updates_per_txn=2)
         device = stack.device
-        queue = device.queue
+        queue_stats = device.queue_stats
         return {
             "elapsed_s": run.elapsed_s,
             "commits": transactions,
             "flushes": device.counters.flushes,
             "barriers": device.counters.barriers,
             "barrier_writes": device.counters.barrier_writes,
-            "drain_stalls": device.barrier_stalls,
-            "drain_stall_us": device.barrier_stall_us,
-            "stalls_avoided": device.stalls_avoided,
-            "stall_avoided_us": device.stall_avoided_us,
-            "epochs_closed": queue.epochs_closed if queue is not None else 0,
+            "drain_stalls": queue_stats.barrier_stalls,
+            "drain_stall_us": queue_stats.barrier_stall_us,
+            "stalls_avoided": queue_stats.stalls_avoided,
+            "stall_avoided_us": queue_stats.stall_avoided_us,
+            "epochs_closed": queue_stats.epochs_closed,
         }
 
     result_rows = []

@@ -10,7 +10,9 @@ benchmark harness reports alongside FTL-side statistics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.obs import CounterSet
 
 
 class CommandKind(enum.Enum):
@@ -29,7 +31,7 @@ class CommandKind(enum.Enum):
 
 
 @dataclass
-class DeviceCounters:
+class DeviceCounters(CounterSet):
     """Commands processed since device creation (or a snapshot)."""
 
     reads: int = 0
@@ -42,19 +44,3 @@ class DeviceCounters:
     aborts: int = 0
     barrier_writes: int = 0
     barriers: int = 0
-
-    def snapshot(self) -> "DeviceCounters":
-        return DeviceCounters(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def delta(self, earlier: "DeviceCounters") -> "DeviceCounters":
-        """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        return DeviceCounters(
-            **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
-        )
-
-    def diff(self, earlier: "DeviceCounters") -> "DeviceCounters":
-        """Alias of :meth:`delta`, kept for existing callers."""
-        return self.delta(earlier)
-
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

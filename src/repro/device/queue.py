@@ -43,8 +43,9 @@ tests and the crash sweep can check exactly that.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 
-from repro.obs import Observability
+from repro.obs import CounterSet, Observability
 from repro.sim.clock import SimClock
 from repro.sim.crash import register_crash_point
 
@@ -63,6 +64,23 @@ CP_QUEUE_EPOCH = register_crash_point(
     "device.queue",
     "order-only barrier (epoch close) issued with commands still in flight",
 )
+
+
+@dataclass
+class QueueStats(CounterSet):
+    """Stalls and epochs of one :class:`CommandQueue` (``dev.queue.*``).
+
+    The queue counts share stalls and epochs; its device counts the
+    drain-barrier stalls (``barrier_stalls``) and the stalls an order
+    barrier avoided (``stalls_avoided``), which only occur with a queue.
+    """
+
+    share_stalls: int = 0
+    epochs_closed: int = 0
+    barrier_stalls: int = 0
+    barrier_stall_us: float = 0.0
+    stalls_avoided: int = 0
+    stall_avoided_us: float = 0.0
 
 
 class CommandQueue:
@@ -100,7 +118,6 @@ class CommandQueue:
         self._shares: dict[int, int] | None = None
         self._tenant_of: dict[int, int] = {}  # command id -> tenant id
         self._live_by_tenant: dict[int, int] = {}
-        self.share_stalls = 0  # plain counter; obs may be disabled
         # Epoch bookkeeping (barrier-enabled devices only): every dispatched
         # command is tagged with the current epoch, and an order barrier
         # closes the epoch instead of draining.  Dispatch never reorders
@@ -110,12 +127,14 @@ class CommandQueue:
         self._epoch = 0
         self._epoch_of: dict[int, int] = {}  # command id -> epoch
         self._epoch_bounds: dict[int, tuple[float, float]] = {}  # epoch -> (min, max) end
-        self.epochs_closed = 0  # plain counter; obs may be disabled
         self._obs_depth = obs.gauge("dev.queue.depth")
         self._obs_dispatch_depth = obs.histogram("dev.queue.dispatch_depth")
         self._obs_admit_stalls = obs.counter("dev.queue.admit_stalls")
-        self._obs_share_stalls = obs.counter("dev.queue.share_stalls")
-        self._obs_epochs = obs.counter("dev.queue.epochs")
+        self.stats = QueueStats()
+        obs.bind(
+            self.stats,
+            {"dev.queue.share_stalls": "share_stalls", "dev.queue.epochs": "epochs_closed"},
+        )
 
     def set_shares(self, shares: dict[int, int] | None) -> None:
         """Install (or clear) per-tenant in-flight caps.
@@ -169,8 +188,7 @@ class CommandQueue:
             if cap is not None and self._live_by_tenant.get(tenant_id, 0) >= cap:
                 # One stall per capped admit, however many completions it
                 # takes to free a slot (the loop must not re-count).
-                self.share_stalls += 1
-                self._obs_share_stalls.inc()
+                self.stats.share_stalls += 1
                 live = self._live_by_tenant
                 while live.get(tenant_id, 0) >= cap:
                     # Wait on the stalled tenant's *own* earliest in-flight
@@ -243,8 +261,7 @@ class CommandQueue:
         if self._epoch not in self._epoch_bounds:
             return
         self._epoch += 1
-        self.epochs_closed += 1
-        self._obs_epochs.inc()
+        self.stats.epochs_closed += 1
 
     def drain(self) -> None:
         """Barrier: the host waits for every in-flight command to complete."""

@@ -33,6 +33,7 @@ from repro.device.queue import (
     CP_QUEUE_DISPATCH,
     CP_QUEUE_EPOCH,
     CommandQueue,
+    QueueStats,
 )
 from repro.ftl.base import Ftl
 from repro.ftl.xftl import XFTL
@@ -80,32 +81,25 @@ class StorageDevice:
             if queue_depth > 1
             else None
         )
-        # Barrier accounting, plain attributes first (obs may be disabled):
-        # stalls the order-only path avoided vs. what a drain would have
-        # waited, and the symmetric drain-mode measurement for the rival
-        # comparison (`barrier` bench experiment).
-        self.stalls_avoided = 0
-        self.stall_avoided_us = 0.0
-        self.barrier_stalls = 0
-        self.barrier_stall_us = 0.0
+        # Barrier accounting rides the queue's stats: stalls the order-only
+        # path avoided vs. what a drain would have waited, and the symmetric
+        # drain-mode measurement for the rival comparison (`barrier` bench
+        # experiment).  Without a queue nothing stalls; the counts stay 0.
+        self.queue_stats = self.queue.stats if self.queue is not None else QueueStats()
         # Whether anything was written/trimmed since the last full flush —
         # lets the file system skip a durability point that would order
         # nothing (the double-barrier bug in the directory-fsync path).
         self._mutated_since_flush = False
         obs = self.obs
-        self._obs_reads = obs.counter("dev.reads")
-        self._obs_writes = obs.counter("dev.writes")
-        self._obs_trims = obs.counter("dev.trims")
-        self._obs_flushes = obs.counter("dev.flushes")
-        self._obs_tagged_reads = obs.counter("dev.tagged_reads")
-        self._obs_tagged_writes = obs.counter("dev.tagged_writes")
-        self._obs_commits = obs.counter("dev.commits")
-        self._obs_aborts = obs.counter("dev.aborts")
-        self._obs_barrier_writes = obs.counter("dev.barrier_writes")
-        self._obs_barriers = obs.counter("dev.barriers")
-        self._obs_stalls_avoided = obs.counter("dev.queue.stalls_avoided")
+        obs.bind(self.counters, {f"dev.{name}": name for name in self.counters.as_dict()})
+        obs.bind(
+            self.queue_stats,
+            {
+                "dev.queue.stalls_avoided": "stalls_avoided",
+                "dev.queue.barrier_stalls": "barrier_stalls",
+            },
+        )
         self._obs_stall_avoided_us = obs.histogram("dev.queue.stall_avoided_us")
-        self._obs_barrier_stalls = obs.counter("dev.queue.barrier_stalls")
         self._obs_barrier_stall_us = obs.histogram("dev.queue.barrier_stall_us")
         self._obs_flush_us = obs.histogram("dev.flush.latency_us")
         self._obs_commit_us = obs.histogram("dev.commit.latency_us")
@@ -207,9 +201,8 @@ class StorageDevice:
                 # The transfer-and-flush overhead the barrier-enabled rival
                 # eliminates; measured here so drain vs. barrier runs report
                 # symmetric numbers.
-                self.barrier_stalls += 1
-                self.barrier_stall_us += stalled
-                self._obs_barrier_stalls.inc()
+                self.queue_stats.barrier_stalls += 1
+                self.queue_stats.barrier_stall_us += stalled
                 self._obs_barrier_stall_us.observe(stalled)
 
     def _order_barrier(self) -> None:
@@ -227,9 +220,8 @@ class StorageDevice:
                 self.chip.crash_plan.hit(CP_QUEUE_EPOCH)
                 avoided = self.chip.busy_horizon_us() - self.clock.now_us
                 if avoided > 0.0:
-                    self.stalls_avoided += 1
-                    self.stall_avoided_us += avoided
-                    self._obs_stalls_avoided.inc()
+                    self.queue_stats.stalls_avoided += 1
+                    self.queue_stats.stall_avoided_us += avoided
                     self._obs_stall_avoided_us.observe(avoided)
             queue.close_epoch()
         self.chip.order_barrier()
@@ -246,7 +238,6 @@ class StorageDevice:
     def read(self, lpn: int) -> Any:
         self._check_on()
         self.counters.reads += 1
-        self._obs_reads.inc()
         self._charge(transfers=1)
         if self.queue is None:
             return self.ftl.read(lpn)
@@ -255,7 +246,6 @@ class StorageDevice:
     def write(self, lpn: int, data: Any) -> None:
         self._check_on()
         self.counters.writes += 1
-        self._obs_writes.inc()
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
@@ -269,7 +259,6 @@ class StorageDevice:
     def trim(self, lpn: int) -> None:
         self._check_on()
         self.counters.trims += 1
-        self._obs_trims.inc()
         self._mutated_since_flush = True
         self._charge()
         self.ftl.trim(lpn)
@@ -278,7 +267,6 @@ class StorageDevice:
         """Write barrier: all acknowledged writes + mapping state durable."""
         self._check_on()
         self.counters.flushes += 1
-        self._obs_flushes.inc()
         if self.tenants.enabled:
             self.tenants.note_flush()
         start_us = self.clock.now_us
@@ -305,7 +293,6 @@ class StorageDevice:
             self.flush()
             return
         self.counters.barriers += 1
-        self._obs_barriers.inc()
         if self.tenants.enabled:
             self.tenants.note_flush()
         with self.obs.tracer.span("barrier", "dev"):
@@ -328,7 +315,6 @@ class StorageDevice:
                 "(StorageDevice(..., barrier_mode=True))"
             )
         self.counters.barrier_writes += 1
-        self._obs_barrier_writes.inc()
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
@@ -353,7 +339,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.tagged_reads += 1
-        self._obs_tagged_reads.inc()
         self._charge(transfers=1)
         if self.queue is None:
             return ftl.read_tx(tid, lpn)
@@ -367,7 +352,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.tagged_reads += 1
-        self._obs_tagged_reads.inc()
         self._charge(transfers=1)
         if self.queue is None:
             return ftl.read_as_of(lpn, snapshot_seq)
@@ -388,7 +372,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.tagged_writes += 1
-        self._obs_tagged_writes.inc()
         self._mutated_since_flush = True
         if self.tenants.enabled:
             self.tenants.note_write(lpn)
@@ -404,7 +387,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.commits += 1
-        self._obs_commits.inc()
         start_us = self.clock.now_us
         with self.obs.tracer.span("commit", "dev", tid=tid):
             self._charge()
@@ -429,7 +411,6 @@ class StorageDevice:
             self.commit(tids[0])
             return
         self.counters.commits += len(tids)
-        self._obs_commits.inc(len(tids))
         start_us = self.clock.now_us
         with self.obs.tracer.span("commit_group", "dev"):
             for _ in tids:
@@ -443,7 +424,6 @@ class StorageDevice:
         self._check_on()
         ftl = self._require_tx()
         self.counters.aborts += 1
-        self._obs_aborts.inc()
         self._charge()
         self._barrier_point()
         ftl.abort(tid)

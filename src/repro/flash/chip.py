@@ -149,9 +149,14 @@ class FlashChip:
         self.obs = obs
         # So does the tenant registry; inert until a tenant registers.
         self.tenants = TenantRegistry(obs)
-        self._obs_programs = obs.counter("flash.page_programs")
-        self._obs_reads = obs.counter("flash.page_reads")
-        self._obs_erases = obs.counter("flash.block_erases")
+        obs.bind(
+            self.stats,
+            {
+                "flash.page_reads": "page_reads",
+                "flash.page_programs": "page_programs",
+                "flash.block_erases": "block_erases",
+            },
+        )
         self._obs_torn = obs.counter("flash.torn_programs")
         self._tracer = obs.tracer
 
@@ -263,7 +268,6 @@ class FlashChip:
                 self._oob[ppn] = None
                 write_points[block] = index + 1
                 self.stats.page_programs += 1
-                self._obs_programs.inc()
                 self._obs_torn.inc()
                 raise PowerFailure(f"power lost mid-program of ppn={ppn} (page torn)")
             if fired is not None:
@@ -274,7 +278,6 @@ class FlashChip:
         st.page_states[ppn] = PAGE_PROGRAMMED
         write_points[block] = index + 1
         self.stats.page_programs += 1
-        self._obs_programs.inc()
         tracer = self._tracer
         if tracer.enabled:
             with tracer.span("program", "flash"):
@@ -294,7 +297,6 @@ class FlashChip:
                 raise CorruptionError(f"read of torn page ppn={ppn}")
             raise FlashError(f"read of erased page ppn={ppn}")
         self.stats.page_reads += 1
-        self._obs_reads.inc()
         self._charge_flash(self.profile.page_read_us, ppn // self._pages_per_block)
         return self._data[ppn]
 
@@ -319,7 +321,6 @@ class FlashChip:
         self._oob[start:end] = self._none_block
         self.state.erase_block(block)
         self.stats.block_erases += 1
-        self._obs_erases.inc()
         tracer = self._tracer
         if tracer.enabled:
             with tracer.span("erase", "flash"):

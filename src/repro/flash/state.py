@@ -27,7 +27,7 @@ The arrays themselves are the hot-path API: FTL and GC inner loops bind
 them to locals and index directly (`C`-speed per-element access, no method
 dispatch).  The methods on this class are the *convenience* API for
 non-hot-path callers — tests, invariant checks, recovery scans — plus
-numpy-backed bulk queries (popcounts, free-block scans) for analysis code.
+bulk queries (popcounts, free-block scans) for analysis code.
 
 The view is owned by the chip (``chip.state``); the legacy per-page
 accessors on :class:`~repro.flash.chip.FlashChip` survive as
@@ -36,8 +36,6 @@ in a later PR.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.flash.geometry import FlashGeometry
 
@@ -170,38 +168,34 @@ class BlockStateView:
 
     # ------------------------------------------------------- bulk queries
     #
-    # numpy wraps the bytearrays zero-copy (``np.frombuffer``); these are
-    # for analysis/verify code that wants whole-device aggregates, not for
-    # the per-op hot path.
-
-    def _states_array(self) -> np.ndarray:
-        return np.frombuffer(self.page_states, dtype=np.uint8)
-
-    def _valid_array(self) -> np.ndarray:
-        return np.frombuffer(self.valid, dtype=np.uint8)
+    # ``bytearray.count`` scans at C speed; these are for analysis/verify
+    # code that wants whole-device aggregates, not for the per-op hot path.
 
     def programmed_page_count(self) -> int:
         """Device-wide popcount of programmed pages."""
-        return int(np.count_nonzero(self._states_array() == PAGE_PROGRAMMED))
+        return self.page_states.count(PAGE_PROGRAMMED)
 
     def erased_page_count(self) -> int:
-        return int(np.count_nonzero(self._states_array() == PAGE_ERASED))
+        return self.page_states.count(PAGE_ERASED)
 
     def torn_page_count(self) -> int:
-        return int(np.count_nonzero(self._states_array() == PAGE_TORN))
+        return self.page_states.count(PAGE_TORN)
 
     def valid_page_count(self) -> int:
         """Device-wide popcount of the liveness bitmap."""
-        return int(np.count_nonzero(self._valid_array()))
+        return len(self.valid) - self.valid.count(0)
 
-    def valid_count_per_block(self) -> np.ndarray:
+    def valid_count_per_block(self) -> list[int]:
         """Per-block liveness popcounts recomputed from the bitmap.
 
         Invariant checks compare this against the incrementally-maintained
         ``valid_counts``; they must always agree.
         """
         per = self.geometry.pages_per_block
-        return self._valid_array().reshape(self.geometry.num_blocks, per).sum(axis=1)
+        valid = self.valid
+        return [
+            per - valid.count(0, start, start + per) for start in range(0, len(valid), per)
+        ]
 
     def free_blocks(self) -> list[int]:
         """Blocks with nothing programmed (write point at zero)."""

@@ -3,16 +3,18 @@
 The paper's Table 1 and Figure 6 report FTL-side counters (page writes and
 reads including internal copybacks, garbage-collection invocations, block
 erases).  :class:`FlashStats` is the single accumulator both the raw chip and
-the FTL write into, so a benchmark can snapshot/diff it around a workload.
+the FTL write into, so a benchmark can snapshot/delta it around a workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.obs import CounterSet
 
 
 @dataclass
-class FlashStats:
+class FlashStats(CounterSet):
     """Counters across the flash stack.
 
     Chip-level (raw NAND operations):
@@ -71,28 +73,3 @@ class FlashStats:
     cmt_evictions: int = 0
     cmt_writebacks: int = 0
     gc_translation_collections: int = 0
-
-    def snapshot(self) -> "FlashStats":
-        """Return an independent copy of the current counters."""
-        return FlashStats(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def delta(self, earlier: "FlashStats") -> "FlashStats":
-        """Counters accumulated since ``earlier`` (a prior snapshot).
-
-        The canonical benchmark idiom::
-
-            before = stack.chip.stats.snapshot()
-            ... run workload ...
-            used = stack.chip.stats.delta(before)
-        """
-        return FlashStats(
-            **{f.name: getattr(self, f.name) - getattr(earlier, f.name) for f in fields(self)}
-        )
-
-    def diff(self, earlier: "FlashStats") -> "FlashStats":
-        """Alias of :meth:`delta`, kept for existing callers."""
-        return self.delta(earlier)
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view, handy for report tables."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -40,6 +40,7 @@ from repro.errors import (
 )
 from repro.fs.journal import Jbd2Journal
 from repro.fs.pagecache import PageCache
+from repro.obs import CounterSet
 from repro.sim.crash import register_crash_point
 
 CP_FSYNC_MID = register_crash_point(
@@ -63,7 +64,7 @@ class JournalMode(enum.Enum):
 
 
 @dataclass
-class FsStats:
+class FsStats(CounterSet):
     """File-system-side I/O accounting (the 'File System' column of Table 1)."""
 
     data_page_writes: int = 0
@@ -72,18 +73,6 @@ class FsStats:
     fsync_calls: int = 0
     file_creates: int = 0
     file_deletes: int = 0
-    checkpoints: int = 0
-
-    def snapshot(self) -> "FsStats":
-        return FsStats(**vars(self))
-
-    def delta(self, earlier: "FsStats") -> "FsStats":
-        """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        return FsStats(**{k: v - getattr(earlier, k) for k, v in vars(self).items()})
-
-    def diff(self, earlier: "FsStats") -> "FsStats":
-        """Alias of :meth:`delta`, kept for existing callers."""
-        return self.delta(earlier)
 
 
 @dataclass
@@ -132,12 +121,7 @@ class Ext4:
         self.max_inodes = max_inodes
         self.obs = device.obs
         obs = device.obs
-        self._obs_data_writes = obs.counter("fs.data_page_writes")
-        self._obs_meta_writes = obs.counter("fs.meta_page_writes")
-        self._obs_journal_writes = obs.counter("fs.journal_page_writes")
-        self._obs_fsyncs = obs.counter("fs.fsync_calls")
-        self._obs_creates = obs.counter("fs.file_creates")
-        self._obs_deletes = obs.counter("fs.file_deletes")
+        obs.bind(self.stats, {f"fs.{name}": name for name in self.stats.as_dict()})
         self._obs_steal_writes = obs.counter("fs.steal_writes")
         self._obs_fsync_us = obs.histogram("fs.fsync.latency_us")
 
@@ -293,7 +277,6 @@ class Ext4:
         self._dirty_meta.add(self.dir_lpn)
         self._dirty_meta.add(self.sb_lpn)
         self.stats.file_creates += 1
-        self._obs_creates.inc()
         return FileHandle(self, inode)
 
     def open(self, name: str, owner: str | None = None) -> "FileHandle":
@@ -324,7 +307,6 @@ class Ext4:
         self._dirty_meta.add(self.dir_lpn)
         self._free_inos.append(ino)
         self.stats.file_deletes += 1
-        self._obs_deletes.inc()
 
     def listdir(self) -> list[str]:
         return sorted(self._by_name)
@@ -393,7 +375,6 @@ class Ext4:
         """
         txn = self._coerce_txn(txn)
         self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
         start_us = self._clock.now_us
         with self.obs.tracer.span("fsync", "fs", tid=None if txn is None else txn.tid):
             self._clock.advance(self._profile.host_fsync_us)
@@ -425,7 +406,6 @@ class Ext4:
             return
         txn = self._coerce_txn(txn)
         self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
         start_us = self._clock.now_us
         with self.obs.tracer.span(
             "fbarrier", "fs", tid=None if txn is None else txn.tid
@@ -453,7 +433,6 @@ class Ext4:
         barrier degrades to a flush (the device's fallback).
         """
         self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
         start_us = self._clock.now_us
         with self.obs.tracer.span("fdatabarrier", "fs", tid=None):
             self._clock.advance(self._profile.host_fsync_us)
@@ -474,7 +453,6 @@ class Ext4:
             raise FsError("fsync_group requires XFTL mode")
         txn = self._coerce_txn(txn)
         self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
         start_us = self._clock.now_us
         with self.obs.tracer.span(
             "fsync_group", "fs", tid=None if txn is None else txn.tid
@@ -501,7 +479,6 @@ class Ext4:
         if txn is None:
             raise FsError("stage_tx requires a transaction")
         self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
         start_us = self._clock.now_us
         with self.obs.tracer.span("stage_tx", "fs", tid=txn.tid):
             self._clock.advance(self._profile.host_fsync_us)
@@ -560,7 +537,6 @@ class Ext4:
         """
         txn = self._coerce_txn(txn)
         self.stats.fsync_calls += 1
-        self._obs_fsyncs.inc()
         self._clock.advance(self._profile.host_fsync_us)
         if self.mode is JournalMode.ORDERED or self.mode is JournalMode.FULL:
             self._journal_metadata(order_only)
@@ -630,7 +606,6 @@ class Ext4:
         if records:
             assert self.journal is not None
             self.journal.commit(records)
-            self.stats.journal_page_writes += len(records) + 2
         self._dirty_meta.clear()
 
     def _fsync_xftl(self, dirty: list[tuple[int, Any]], txn) -> None:
@@ -673,7 +648,6 @@ class Ext4:
         if records:
             assert self.journal is not None
             self.journal.commit(records)
-            self.stats.journal_page_writes += len(records) + 2
         elif self.device.dirty_since_flush:
             # Nothing to journal, but writes landed since the last flush:
             # this is still a durability point for them.
@@ -709,7 +683,6 @@ class Ext4:
 
     def _device_write_data(self, lpn: int, data: Any, tid: int | None = None) -> None:
         self.stats.data_page_writes += 1
-        self._obs_data_writes.inc()
         if tid is not None:
             self.device.write_tx(tid, lpn, data)
         else:
@@ -717,7 +690,6 @@ class Ext4:
 
     def _device_write_meta_raw(self, lpn: int, image: Any, tid: int | None = None) -> None:
         self.stats.meta_page_writes += 1
-        self._obs_meta_writes.inc()
         if tid is not None:
             self.device.write_tx(tid, lpn, image)
         else:
@@ -725,13 +697,11 @@ class Ext4:
 
     def _device_write_journal(self, lpn: int, image: Any) -> None:
         self.stats.journal_page_writes += 1
-        self._obs_journal_writes.inc()
         self.device.write(lpn, image)
 
     def _device_write_journal_barrier(self, lpn: int, image: Any) -> None:
         """Journal commit page / superblock as an order-guaranteed write."""
         self.stats.journal_page_writes += 1
-        self._obs_journal_writes.inc()
         self.device.write_barrier(lpn, image)
 
     def _journal_write_home(self, lpn: int, image: Any) -> None:
@@ -955,7 +925,6 @@ class Ext4:
         elif self.mode is JournalMode.FULL:
             assert self.journal is not None
             self.journal.commit([(lpn, data)])
-            self.stats.journal_page_writes += 3
         else:
             self._device_write_data(lpn, data)
 

@@ -19,12 +19,21 @@ never lose both copies.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import CorruptionError, FsError
-from repro.obs import DEFAULT_SIZE_BOUNDS, NULL_OBS, Observability
+from repro.obs import DEFAULT_SIZE_BOUNDS, NULL_OBS, CounterSet, Observability
 
 JSB_SLOTS = 2  # ping-pong journal superblocks at region offsets 0 and 1
+
+
+@dataclass
+class JournalStats(CounterSet):
+    """Transactions committed and checkpoints run by one journal."""
+
+    commits: int = 0
+    checkpoints: int = 0
 
 
 class Jbd2Journal:
@@ -62,8 +71,6 @@ class Jbd2Journal:
         self._write_home = write_home
         self._write_barrier_page = write_barrier_page
         self._obs = obs
-        self._obs_commits = obs.counter("fs.journal.commits")
-        self._obs_checkpoints = obs.counter("fs.journal.checkpoints")
         self._obs_frame_pages = obs.histogram("fs.journal.frame_pages", DEFAULT_SIZE_BOUNDS)
 
         self._log_start = region_start + JSB_SLOTS
@@ -74,8 +81,10 @@ class Jbd2Journal:
         self._jsb_version = 0
         # Home-location images awaiting checkpoint (latest image wins).
         self._pending: "OrderedDict[int, Any]" = OrderedDict()
-        self.transactions_committed = 0
-        self.checkpoints = 0
+        self.stats = JournalStats()
+        obs.bind(
+            self.stats, {"fs.journal.commits": "commits", "fs.journal.checkpoints": "checkpoints"}
+        )
 
     # ----------------------------------------------------------------- API
 
@@ -123,8 +132,7 @@ class Jbd2Journal:
         for lpn, image in records:
             self._pending.pop(lpn, None)
             self._pending[lpn] = image
-        self.transactions_committed += 1
-        self._obs_commits.inc()
+        self.stats.commits += 1
         self._obs_frame_pages.observe(float(frame_pages))
         return txid
 
@@ -141,8 +149,7 @@ class Jbd2Journal:
         self._retired_txid = self._next_txid - 1
         self._head = 0
         self._write_jsb()
-        self.checkpoints += 1
-        self._obs_checkpoints.inc()
+        self.stats.checkpoints += 1
 
     def restore_position(self, retired_txid: int, max_txid: int) -> None:
         """Resume txid numbering after a mount-time replay."""

@@ -16,7 +16,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, CounterSet, Observability
+
+
+@dataclass
+class CacheStats(CounterSet):
+    """Lookups and evictions of one :class:`PageCache`."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    dirty_evictions: int = 0
 
 
 @dataclass
@@ -47,14 +57,24 @@ class PageCache:
         self.capacity = capacity
         self._writeback = writeback
         self._pages: OrderedDict[int, CachedPage] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self._obs_hits = obs.counter("fs.cache.hits")
-        self._obs_misses = obs.counter("fs.cache.misses")
-        self._obs_evictions = obs.counter("fs.cache.evictions")
-        self._obs_steals = obs.counter("fs.cache.dirty_evictions")
+        self.stats = CacheStats()
+        obs.bind(
+            self.stats,
+            {
+                "fs.cache.hits": "hits",
+                "fs.cache.misses": "misses",
+                "fs.cache.evictions": "evictions",
+                "fs.cache.dirty_evictions": "dirty_evictions",
+            },
+        )
+
+    @property
+    def hits(self) -> int:
+        return self.stats.hits
+
+    @property
+    def misses(self) -> int:
+        return self.stats.misses
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -66,12 +86,10 @@ class PageCache:
         """Look up a page, refreshing its LRU position."""
         page = self._pages.get(lpn)
         if page is None:
-            self.misses += 1
-            self._obs_misses.inc()
+            self.stats.misses += 1
             return None
         self._pages.move_to_end(lpn)
-        self.hits += 1
-        self._obs_hits.inc()
+        self.stats.hits += 1
         return page
 
     def peek(self, lpn: int) -> CachedPage | None:
@@ -168,11 +186,9 @@ class PageCache:
         while len(self._pages) > self.capacity:
             victim_lpn = self._pick_eviction_victim()
             page = self._pages.pop(victim_lpn)
-            self.evictions += 1
-            self._obs_evictions.inc()
+            self.stats.evictions += 1
             if page.dirty:
-                self.dirty_evictions += 1
-                self._obs_steals.inc()
+                self.stats.dirty_evictions += 1
                 self._writeback(page.lpn, page.data, page.txn)
 
     def _pick_eviction_victim(self) -> int:

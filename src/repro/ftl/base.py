@@ -142,17 +142,22 @@ class Ftl(abc.ABC):
         self.chip = chip
         self.config = config or FtlConfig()
         self.stats: FlashStats = chip.stats
-        # Observability rides on the chip; instruments are acquired once
-        # here so hot paths pay only an attribute access + no-op call.
+        # Observability rides on the chip; the FTL's counts live in the
+        # chip's FlashStats and are exported from there.
         self.obs = chip.obs
         obs = chip.obs
-        self._obs_host_writes = obs.counter("ftl.host_page_writes")
-        self._obs_host_reads = obs.counter("ftl.host_page_reads")
-        self._obs_barriers = obs.counter("ftl.barriers")
-        self._obs_map_writes = obs.counter("ftl.map_page_writes")
-        self._obs_gc_invocations = obs.counter("ftl.gc.invocations")
-        self._obs_gc_reads = obs.counter("ftl.gc.copyback_reads")
-        self._obs_gc_writes = obs.counter("ftl.gc.copyback_writes")
+        obs.bind(
+            self.stats,
+            {
+                "ftl.host_page_writes": "host_page_writes",
+                "ftl.host_page_reads": "host_page_reads",
+                "ftl.barriers": "barriers",
+                "ftl.map_page_writes": "map_page_writes",
+                "ftl.gc.invocations": "gc_invocations",
+                "ftl.gc.copyback_reads": "gc_copyback_reads",
+                "ftl.gc.copyback_writes": "gc_copyback_writes",
+            },
+        )
         self._obs_gc_fifo_fallbacks = obs.counter("ftl.gc.fifo_fallbacks")
 
     @property

@@ -156,8 +156,13 @@ class BackgroundGC:
             for state in GcState
         }
         self._obs_background = obs.counter("ftl.gc.background_collections")
-        self._obs_urgent = obs.counter("ftl.gc.urgent_collections")
-        self._obs_wear = obs.counter("ftl.gc.wear_migrations")
+        obs.bind(
+            ftl.stats,
+            {
+                "ftl.gc.urgent_collections": "gc_urgent_collections",
+                "ftl.gc.wear_migrations": "gc_wear_migrations",
+            },
+        )
         self._obs_hot_writes = obs.counter("ftl.gc.hot_stream_writes")
         self._obs_cold_writes = obs.counter("ftl.gc.cold_stream_writes")
         self._obs_trans_writes = obs.counter("ftl.gc.trans_stream_writes")
@@ -336,10 +341,8 @@ class BackgroundGC:
         job = GcJob(victim=victim, cursor=start, end=start + used, wear=wear)
         self._jobs[channel] = job
         ftl.stats.gc_invocations += 1
-        ftl._obs_gc_invocations.inc()
         if victim in ftl._trans_blocks:
             ftl.stats.gc_translation_collections += 1
-            ftl._obs_gc_trans.inc()
         ftl._note_victim_valid(ftl._valid_count[victim], geo.pages_per_block)
         tenants = ftl.chip.tenants
         if tenants.enabled:
@@ -433,10 +436,8 @@ class BackgroundGC:
         finally:
             if reads:
                 ftl.stats.gc_copyback_reads += reads
-                ftl._obs_gc_reads.inc(reads)
             if writes:
                 ftl.stats.gc_copyback_writes += writes
-                ftl._obs_gc_writes.inc(writes)
         if crash_plan._points:
             crash_plan.hit(CP_GC_ERASE)
         chip.erase(job.victim)
@@ -517,7 +518,6 @@ class BackgroundGC:
                 job = self._open_job(channel, victim)
             self._run_job(channel, job)
             collected = True
-            self._obs_urgent.inc()
             ftl.stats.gc_urgent_collections += 1
         if collected:
             self._obs_pause_us.observe(ftl.chip.clock.now_us - start_us)
@@ -652,7 +652,6 @@ class BackgroundGC:
             return
         job = self._open_job(channel, victim, wear=True)
         ftl.stats.gc_wear_migrations += 1
-        self._obs_wear.inc()
         with ftl.chip.overlap():
             self._run_job(channel, job, max_pages=self._pages_per_step)
 

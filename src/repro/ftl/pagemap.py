@@ -232,7 +232,9 @@ class PageMappingFTL(Ftl):
             "ftl.gc.victim_valid_pages", DEFAULT_SIZE_BOUNDS
         )
         self._obs_barrier_us = chip.obs.histogram("ftl.barrier.latency_us")
-        self._obs_gc_trans = chip.obs.counter("ftl.gc.translation_collections")
+        chip.obs.bind(
+            self.stats, {"ftl.gc.translation_collections": "gc_translation_collections"}
+        )
         # Demand-paged mapping (DFTL-style CMT, repro.ftl.cmt).  A capacity
         # of zero — or one covering every translation page of the exported
         # space — degenerates to the all-in-DRAM map: the cache can never
@@ -291,7 +293,6 @@ class PageMappingFTL(Ftl):
         if ppn is None:
             return None  # unwritten logical page reads as zeros
         self.stats.host_page_reads += 1
-        self._obs_host_reads.inc()
         return self.chip.read(ppn)
 
     def write(self, lpn: int, data: Any) -> None:
@@ -322,7 +323,6 @@ class PageMappingFTL(Ftl):
         owners[ppn] = (OWNER_L2P, lpn)
         self._dirty_segments.add(lpn // self._map_entries_per_page)
         self.stats.host_page_writes += 1
-        self._obs_host_writes.inc()
 
     def trim(self, lpn: int) -> None:
         self._check_power()
@@ -350,7 +350,6 @@ class PageMappingFTL(Ftl):
         """
         self._check_power()
         self.stats.barriers += 1
-        self._obs_barriers.inc()
         start_us = self.chip.clock.now_us
         with self.obs.tracer.span("barrier", "ftl"):
             self.chip.clock.advance(self.chip.profile.barrier_overhead_us)
@@ -749,10 +748,8 @@ class PageMappingFTL(Ftl):
         used = self._write_points[victim]
         valid_before = self._valid_count[victim]
         self.stats.gc_invocations += 1
-        self._obs_gc_invocations.inc()
         if victim in self._trans_blocks:
             self.stats.gc_translation_collections += 1
-            self._obs_gc_trans.inc()
         self._note_victim_valid(valid_before, geo.pages_per_block)
 
         # Copyback counters batch per victim instead of per page; the
@@ -793,10 +790,8 @@ class PageMappingFTL(Ftl):
         finally:
             if reads:
                 self.stats.gc_copyback_reads += reads
-                self._obs_gc_reads.inc(reads)
             if writes:
                 self.stats.gc_copyback_writes += writes
-                self._obs_gc_writes.inc(writes)
         self._trans_blocks.discard(victim)
         self._free_by_channel[channel].append(victim)
         try:
@@ -954,7 +949,6 @@ class PageMappingFTL(Ftl):
         self._map_dir[segment] = ppn
         self._set_owner(ppn, (OWNER_MAP, segment))
         self.stats.map_page_writes += 1
-        self._obs_map_writes.inc()
         return ppn
 
     def _flush_map(self) -> None:
@@ -980,7 +974,6 @@ class PageMappingFTL(Ftl):
             self._meta_dir[slot] = ppn
             self._set_owner(ppn, (OWNER_META, slot))
             self.stats.map_page_writes += 1
-            self._obs_map_writes.inc()
 
     def _publish_root(self, seq: int) -> None:
         """Atomically update the meta block (assumed atomic, §5.3).

@@ -115,15 +115,20 @@ class XFTL(PageMappingFTL):
         # (snapshots pin its value).  Stays 0 on the single-version stack.
         self._commit_counter = 0
         obs = chip.obs
-        self._obs_commits = obs.counter("ftl.commits")
-        self._obs_aborts = obs.counter("ftl.aborts")
-        self._obs_xl2p_writes = obs.counter("ftl.xl2p.page_writes")
+        obs.bind(
+            self.stats,
+            {
+                "ftl.commits": "commits",
+                "ftl.aborts": "aborts",
+                "ftl.xl2p.page_writes": "xl2p_page_writes",
+                "ftl.xl2p.flushes": "xl2p_flushes",
+                "ftl.group_commits": "group_commits",
+            },
+        )
         self._obs_xl2p_flush_pages = obs.histogram(
             "ftl.xl2p.flush_pages", DEFAULT_SIZE_BOUNDS
         )
         self._obs_commit_us = obs.histogram("ftl.commit.latency_us")
-        self._obs_xl2p_flushes = obs.counter("ftl.xl2p.flushes")
-        self._obs_group_commits = obs.counter("ftl.group_commits")
         self._obs_group_size = obs.histogram("ftl.group_commit.size", DEFAULT_SIZE_BOUNDS)
         self._obs_version_publishes = obs.counter("ftl.mvcc.version_publishes")
         self._obs_version_releases = obs.counter("ftl.mvcc.version_releases")
@@ -153,7 +158,6 @@ class XFTL(PageMappingFTL):
             self._invalidate(previous.new_ppn)
         self._set_owner(ppn, (OWNER_XL2P_DATA, tid, lpn))
         self.stats.host_page_writes += 1
-        self._obs_host_writes.inc()
 
     def read_tx(self, tid: int, lpn: int) -> Any:
         """Tagged read: the transaction sees its own writes, else committed."""
@@ -163,7 +167,6 @@ class XFTL(PageMappingFTL):
         if entry is None:
             return self.read(lpn)
         self.stats.host_page_reads += 1
-        self._obs_host_reads.inc()
         return self.chip.read(entry.new_ppn)
 
     # ------------------------------------------------- multi-version X-L2P
@@ -195,7 +198,6 @@ class XFTL(PageMappingFTL):
         self._set_owner(ppn, (OWNER_L2P, lpn))
         self._mark_dirty(lpn)
         self.stats.host_page_writes += 1
-        self._obs_host_writes.inc()
 
     def trim(self, lpn: int) -> None:
         super().trim(lpn)
@@ -217,7 +219,6 @@ class XFTL(PageMappingFTL):
             ppn = versions.resolve(lpn, snap)
             if ppn is not None:
                 self.stats.host_page_reads += 1
-                self._obs_host_reads.inc()
                 self._obs_asof_reads.inc()
                 return self.chip.read(ppn)
             self._obs_asof_reads.inc()
@@ -296,7 +297,6 @@ class XFTL(PageMappingFTL):
             self._release_write_locks(tid)
             self._started_tids.discard(tid)
             self.stats.commits += 1  # the host command succeeded; just free
-            self._obs_commits.inc()
             return
         start_us = self.chip.clock.now_us
         with self.obs.tracer.span("xftl_commit", "ftl", tid=tid):
@@ -336,7 +336,6 @@ class XFTL(PageMappingFTL):
         self._release_write_locks(tid)
         self._started_tids.discard(tid)
         self.stats.commits += 1
-        self._obs_commits.inc()
         self._obs_commit_us.observe(self.chip.clock.now_us - start_us)
         self._commits_since_checkpoint += 1
         if self._commits_since_checkpoint >= self.config.map_checkpoint_interval:
@@ -375,7 +374,6 @@ class XFTL(PageMappingFTL):
             self._release_write_locks(tid)
             self._started_tids.discard(tid)
             self.stats.commits += 1
-            self._obs_commits.inc()
         if not live:
             return
         if len(live) == 1:
@@ -426,8 +424,6 @@ class XFTL(PageMappingFTL):
             self._started_tids.discard(tid)
         self.stats.commits += len(live)
         self.stats.group_commits += 1
-        self._obs_commits.inc(len(live))
-        self._obs_group_commits.inc()
         self._obs_group_size.observe(float(len(live)))
         self._obs_commit_us.observe(self.chip.clock.now_us - start_us)
         self._commits_since_checkpoint += len(live)
@@ -456,7 +452,6 @@ class XFTL(PageMappingFTL):
             self._invalidate(entry.new_ppn)
         self._release_write_locks(tid)
         self.stats.aborts += 1
-        self._obs_aborts.inc()
 
     # ------------------------------------------------------------ internals
 
@@ -490,14 +485,12 @@ class XFTL(PageMappingFTL):
                 self._set_owner(ppn, (OWNER_XL2P_TABLE, index))
                 new_ppns.append(ppn)
                 self.stats.xl2p_page_writes += 1
-                self._obs_xl2p_writes.inc()
             if pin_entries:
                 self._pin_translation_pages(pin_entries)
         self.chip.drain()
         if pin_entries:
             self.chip.crash_plan.hit(CP_CMT_COMMIT_PUBLISH)
         self.stats.xl2p_flushes += 1
-        self._obs_xl2p_flushes.inc()
         self._obs_xl2p_flush_pages.observe(float(len(images)))
         for index, old in enumerate(self._xl2p_page_ppns):
             if old in self._owner:

@@ -11,9 +11,12 @@ plan, and every higher layer picks it up from the layer below).  It bundles:
   ``COMMIT`` nests the pager writes, the ext4 fsync, the device commands
   and the NAND programs it caused.
 
-Layers instrument themselves unconditionally; a disabled handle (the
-default — see :data:`NULL_OBS`) hands out shared null instruments so the
-hot write path does no extra allocation and no dict lookups.
+Each event is counted once.  Layers that keep a plain counter object
+(``FlashStats``, ``DeviceCounters``, ``FsStats``, ...) bind its fields to
+the registry, which reads them when it exports; the rest acquire registry
+instruments.  A disabled handle (the default — see :data:`NULL_OBS`) binds
+nothing and hands out shared null instruments, so the hot write path does
+no extra allocation and no dict lookups.
 
 Usage::
 
@@ -33,6 +36,7 @@ from repro.obs.registry import (
     DEFAULT_LATENCY_BOUNDS_US,
     DEFAULT_SIZE_BOUNDS,
     Counter,
+    CounterSet,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -44,8 +48,8 @@ from repro.obs.tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "Counter",
+    "CounterSet",
     "DEFAULT_LATENCY_BOUNDS_US",
-    "FLASH_STATS_OBS_PAIRS",
     "DEFAULT_SIZE_BOUNDS",
     "Gauge",
     "Histogram",
@@ -63,37 +67,6 @@ __all__ = [
     "install_default_hub",
     "uninstall_default_hub",
 ]
-
-#: obs counter name -> :class:`~repro.flash.stats.FlashStats` field.  Each
-#: pair is incremented at the same instrumentation site, so the two views
-#: must agree exactly; :meth:`Observability.verify_flash_stats` enforces it
-#: and tests/test_stats_fields.py checks the mapping covers every field.
-FLASH_STATS_OBS_PAIRS = {
-    "flash.page_reads": "page_reads",
-    "flash.page_programs": "page_programs",
-    "flash.block_erases": "block_erases",
-    "ftl.host_page_writes": "host_page_writes",
-    "ftl.host_page_reads": "host_page_reads",
-    "ftl.gc.copyback_reads": "gc_copyback_reads",
-    "ftl.gc.copyback_writes": "gc_copyback_writes",
-    "ftl.gc.invocations": "gc_invocations",
-    "ftl.map_page_writes": "map_page_writes",
-    "ftl.xl2p.page_writes": "xl2p_page_writes",
-    "ftl.barriers": "barriers",
-    "ftl.commits": "commits",
-    "ftl.aborts": "aborts",
-    "ftl.xl2p.flushes": "xl2p_flushes",
-    "ftl.group_commits": "group_commits",
-    "ftl.gc.urgent_collections": "gc_urgent_collections",
-    "ftl.gc.wear_migrations": "gc_wear_migrations",
-    "ftl.gc.translation_collections": "gc_translation_collections",
-    "ftl.cmt.hits": "cmt_hits",
-    "ftl.cmt.misses": "cmt_misses",
-    "ftl.cmt.fetch_reads": "cmt_fetch_reads",
-    "ftl.cmt.evictions": "cmt_evictions",
-    "ftl.cmt.writebacks": "cmt_writebacks",
-}
-
 
 class Observability:
     """Metrics + tracing for one simulated stack.
@@ -115,9 +88,6 @@ class Observability:
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled and trace)
         self.meta: dict[str, Any] = {}
-        # Back-reference to the stack's FlashStats, set by build_stack();
-        # lets exports cross-check obs counters against the legacy totals.
-        self.flash_stats = None
 
     # ------------------------------------------------------------- plumbing
 
@@ -133,6 +103,9 @@ class Observability:
 
     def counter(self, name: str) -> Counter:
         return self.registry.counter(name)
+
+    def bind(self, source: object, fields: dict[str, str]) -> None:
+        self.registry.bind(source, fields)
 
     def histogram(self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BOUNDS_US):
         return self.registry.histogram(name, bounds)
@@ -156,28 +129,6 @@ class Observability:
         if self.meta:
             lines.append("  meta: " + ", ".join(f"{k}={v}" for k, v in sorted(self.meta.items())))
         return "\n".join(lines)
-
-    # --------------------------------------------------------- cross-check
-
-    def verify_flash_stats(self) -> list[str]:
-        """Check obs counters against the stack's :class:`FlashStats`.
-
-        Returns a list of mismatch descriptions (empty when consistent).
-        Every obs counter below is incremented at the same site as the
-        corresponding ``FlashStats`` field, so any divergence is a bug in
-        the instrumentation, not a measurement artifact.
-        """
-        if self.flash_stats is None or not self.enabled:
-            return []
-        mismatches = []
-        for obs_name, stats_field in FLASH_STATS_OBS_PAIRS.items():
-            expected = getattr(self.flash_stats, stats_field)
-            got = self.registry.counter_value(obs_name)
-            if got != expected:
-                mismatches.append(
-                    f"{obs_name}={got} != FlashStats.{stats_field}={expected}"
-                )
-        return mismatches
 
 
 #: Shared disabled handle — the default for every stack.  Hot paths touch

@@ -6,9 +6,12 @@ layer of the reproduction reports into one :class:`MetricsRegistry`.
 
 Design rules:
 
-- **Cheap acquisition.**  A layer calls ``registry.counter("flash.page_programs")``
-  once (usually in its constructor) and keeps the handle; the hot path is a
-  plain attribute access plus one method call.
+- **One store per count.**  A layer that already keeps a plain counter
+  object (``FlashStats``, ``DeviceCounters``, ``FsStats``, the page cache,
+  ...) binds its fields with :meth:`MetricsRegistry.bind`; the registry
+  reads them at export time instead of counting the same event twice.
+  Counts that have no plain home are registry counters: a layer calls
+  ``registry.counter("ftl.gc.fifo_fallbacks")`` once and keeps the handle.
 - **Free when disabled.**  A disabled registry hands out shared null
   singletons whose ``inc``/``observe`` are no-ops; the hot write path incurs
   zero allocations (guarded by a tracemalloc micro-benchmark in the tests).
@@ -23,8 +26,9 @@ that prefix.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from typing import Iterable
+from typing import Iterable, Mapping, TypeVar
 
 # Histogram bucket upper bounds in simulated microseconds.  Covers the
 # sub-microsecond syscall range up to multi-second workload phases; the
@@ -56,6 +60,35 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
+
+
+_CounterSetT = TypeVar("_CounterSetT", bound="CounterSet")
+
+
+class CounterSet:
+    """Base for a layer's plain counter dataclass (numeric fields only).
+
+    Every layer keeps its counts in one (``FlashStats``, ``DeviceCounters``,
+    ``FsStats``, ``CacheStats``, ...); the benchmark idiom is::
+
+        before = stack.chip.stats.snapshot()
+        ... run workload ...
+        used = stack.chip.stats.delta(before)
+    """
+
+    def snapshot(self: _CounterSetT) -> _CounterSetT:
+        """An independent copy of the current counters."""
+        return dataclasses.replace(self)
+
+    def delta(self: _CounterSetT, earlier: _CounterSetT) -> _CounterSetT:
+        """Counters accumulated since ``earlier`` (a prior snapshot)."""
+        return type(self)(
+            **{name: value - getattr(earlier, name) for name, value in self.as_dict().items()}
+        )
+
+    def as_dict(self) -> dict[str, int]:
+        """Plain-dict view, handy for report tables."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 class Histogram:
@@ -208,13 +241,36 @@ class MetricsRegistry:
     When ``enabled`` is false every acquisition returns a shared null
     instrument: layers instrument unconditionally and pay nothing until a
     benchmark or CLI opts in with ``--metrics``.
+
+    A counter's exported value is its own count plus the bound fields of
+    every source bound under its name.  Summing keeps totals cumulative
+    when a layer is rebuilt (a remounted file system binds a fresh
+    ``FsStats``) and when several live objects share a name (every
+    database on a stack counts into ``sqlite.statements``).  Sources stay
+    referenced for the registry's lifetime, so bind small counter objects
+    (a :class:`CounterSet`), never a layer object: a hub session outlives
+    its stack, and a bound layer would keep the whole stack alive.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
+        self._sources: dict[str, list[tuple[object, str]]] = {}
         self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, Gauge] = {}
+
+    def bind(self, source: object, fields: Mapping[str, str]) -> None:
+        """Export ``source.<attr>`` as counter ``name`` for each ``name: attr``.
+
+        Binding the same object under a name twice is a no-op, so a layer
+        rebuilt over the same stats object does not double its count.
+        """
+        if not self.enabled:
+            return
+        for name, attr in fields.items():
+            bound = self._sources.setdefault(name, [])
+            if all(other is not source for other, _ in bound):
+                bound.append((source, attr))
 
     # ------------------------------------------------------------ acquire
 
@@ -250,13 +306,19 @@ class MetricsRegistry:
     # ------------------------------------------------------------- query
 
     def counter_value(self, name: str) -> int:
-        """Current value of a counter (0 if never created)."""
+        """Current value of a counter (0 if never created or bound)."""
         counter = self._counters.get(name)
-        return counter.value if counter is not None else 0
+        value = counter.value if counter is not None else 0
+        for source, attr in self._sources.get(name, ()):
+            value += getattr(source, attr)
+        return value
 
     def counters(self) -> dict[str, int]:
         """All counter values, sorted by name."""
-        return {name: self._counters[name].value for name in sorted(self._counters)}
+        return {
+            name: self.counter_value(name)
+            for name in sorted(self._counters.keys() | self._sources.keys())
+        }
 
     def histograms(self) -> dict[str, Histogram]:
         return {name: self._histograms[name] for name in sorted(self._histograms)}
@@ -267,7 +329,8 @@ class MetricsRegistry:
     def layers(self) -> list[str]:
         """Layer prefixes (text before the first dot) present in the registry."""
         seen: dict[str, None] = {}
-        for name in sorted(set(self._counters) | set(self._histograms) | set(self._gauges)):
+        names = self._counters.keys() | self._sources.keys() | self._histograms.keys()
+        for name in sorted(names | self._gauges.keys()):
             seen.setdefault(name.split(".", 1)[0], None)
         return list(seen)
 

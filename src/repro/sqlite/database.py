@@ -9,10 +9,12 @@ fsync patterns of the paper's Figure 1 appear.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import DatabaseError, PowerFailure, SchemaError, SqlError
 from repro.fs.ext4 import Ext4
+from repro.obs import CounterSet
 from repro.sqlite.btree import BTree, page_from_image
 from repro.sqlite.pager import Pager, SqliteJournalMode
 from repro.sqlite.records import SqlValue, key_sort_tuple
@@ -31,6 +33,13 @@ from repro.sqlite.sql.engine import (
 from repro.sqlite.table import TableStore
 
 Row = tuple[SqlValue, ...]
+
+
+@dataclass
+class ConnectionStats(CounterSet):
+    """Statements one :class:`Connection` executed."""
+
+    statements: int = 0
 
 
 class Connection:
@@ -61,7 +70,6 @@ class Connection:
         )
         self.last_recovery_us = self.pager.last_recovery_us
         self.obs = fs.obs
-        self._obs_statements = fs.obs.counter("sqlite.statements")
         self._explicit_txn = False
         # Group commit: when True (and in OFF mode), COMMIT stages the
         # transaction via Pager.stage_commit instead of committing inline;
@@ -70,7 +78,8 @@ class Connection:
         self.defer_commits = False
         self._staged_txn = None
         self._commit_started_us = 0.0
-        self.statements_executed = 0
+        self.stats = ConnectionStats()
+        fs.obs.bind(self.stats, {"sqlite.statements": "statements"})
         self._parse_cache: dict[str, object] = {}
         self._profile = fs.device.profile
         self._clock = fs.device.clock
@@ -88,6 +97,10 @@ class Connection:
                 if self.pager.in_txn:
                     self.pager.rollback()
                 raise
+
+    @property
+    def statements_executed(self) -> int:
+        return self.stats.statements
 
     # ------------------------------------------------------------- txn API
 
@@ -239,8 +252,7 @@ class Connection:
             statement = parse(sql)
             if len(self._parse_cache) < 512:
                 self._parse_cache[sql] = statement
-        self.statements_executed += 1
-        self._obs_statements.inc()
+        self.stats.statements += 1
         self._clock.advance(self._profile.host_cpu_statement_us)
         if isinstance(statement, ast.Begin):
             if statement.snapshot:

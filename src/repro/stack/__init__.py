@@ -329,7 +329,6 @@ def build_stack(config: StackConfig | None = None, **overrides) -> BenchStack:
         max_inodes=config.max_inodes,
     )
     if obs.enabled:
-        obs.flash_stats = chip.stats
         obs.annotate("mode", config.mode.value)
         obs.annotate("fs_journal_mode", config.mode.fs_journal_mode().value)
         if config.mode.is_database_mode:

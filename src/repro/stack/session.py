@@ -19,15 +19,25 @@ statement streams.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import DatabaseError
+from repro.obs import CounterSet
 from repro.sim.interleave import Park, RoundRobinInterleaver
 from repro.sqlite.database import Connection
 from repro.sqlite.pager import SqliteJournalMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stack import BenchStack
+
+
+@dataclass
+class SessionStats(CounterSet):
+    """Transactions one :class:`Session` committed and rolled back."""
+
+    commits: int = 0
+    rollbacks: int = 0
 
 
 class Session:
@@ -43,11 +53,11 @@ class Session:
         self.name = name
         self.tenant = tenant  # owning repro.stack.tenant.Tenant, if any
         self.connections: list[Connection] = []
-        self.commits = 0
-        self.rollbacks = 0
-        obs = stack.obs
-        self._obs_commits = obs.counter(f"session.{name}.commits")
-        self._obs_rollbacks = obs.counter(f"session.{name}.rollbacks")
+        self.stats = SessionStats()
+        stack.obs.bind(
+            self.stats,
+            {f"session.{name}.commits": "commits", f"session.{name}.rollbacks": "rollbacks"},
+        )
         self._tenant_registry = stack.chip.tenants
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -64,14 +74,12 @@ class Session:
     # deferred commits, the COMMIT call itself otherwise); it feeds the
     # owning tenant's p99 accounting and costs nothing to measure.
     def note_commit(self, latency_us: float | None = None) -> None:
-        self.commits += 1
-        self._obs_commits.inc()
+        self.stats.commits += 1
         if self.tenant is not None:
             self._tenant_registry.note_commit(self.tenant.id, latency_us)
 
     def note_rollback(self) -> None:
-        self.rollbacks += 1
-        self._obs_rollbacks.inc()
+        self.stats.rollbacks += 1
 
     # ------------------------------------------------------------ snapshots
 

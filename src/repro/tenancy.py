@@ -55,11 +55,6 @@ class TenantAccount:
         "cold_stream_writes",
         "commit_latency_sum_us",
         "commit_latency_max_us",
-        "_obs_writes",
-        "_obs_flushes",
-        "_obs_commits",
-        "_obs_copybacks",
-        "_obs_collisions",
         "_obs_commit_us",
     )
 
@@ -79,11 +74,13 @@ class TenantAccount:
         self.commit_latency_sum_us = 0.0
         self.commit_latency_max_us = 0.0
         prefix = f"tenant.{name}"
-        self._obs_writes = obs.counter(f"{prefix}.writes")
-        self._obs_flushes = obs.counter(f"{prefix}.flushes")
-        self._obs_commits = obs.counter(f"{prefix}.commits")
-        self._obs_copybacks = obs.counter(f"{prefix}.gc_copybacks")
-        self._obs_collisions = obs.counter(f"{prefix}.gc_cross_collisions")
+        obs.bind(
+            self,
+            {
+                f"{prefix}.{field}": field
+                for field in ("writes", "flushes", "commits", "gc_copybacks", "gc_cross_collisions")
+            },
+        )
         self._obs_commit_us = obs.histogram(f"{prefix}.commit_latency_us")
 
     @property
@@ -178,17 +175,14 @@ class TenantRegistry:
         owners[lpn] = current
         account = self.accounts[current]
         account.writes += 1
-        account._obs_writes.inc()
 
     def note_flush(self) -> None:
         account = self.accounts[self.current]
         account.flushes += 1
-        account._obs_flushes.inc()
 
     def note_commit(self, tenant_id: int, latency_us: float | None = None) -> None:
         account = self.accounts[tenant_id]
         account.commits += 1
-        account._obs_commits.inc()
         if latency_us is not None:
             account.commit_latency_sum_us += latency_us
             if latency_us > account.commit_latency_max_us:
@@ -199,7 +193,6 @@ class TenantRegistry:
         """Attribute one GC copyback to the tenant owning ``lpn``."""
         account = self.accounts[self.owner_of(lpn)]
         account.gc_copybacks += 1
-        account._obs_copybacks.inc()
 
     def note_stream_write(self, hot: bool) -> None:
         account = self.accounts[self.current]
@@ -223,7 +216,6 @@ class TenantRegistry:
         for tenant_id in involved:
             account = self.accounts[tenant_id]
             account.gc_cross_collisions += 1
-            account._obs_collisions.inc()
 
     # ------------------------------------------------------------ fairness
 

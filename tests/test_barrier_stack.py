@@ -67,7 +67,7 @@ class TestBarrierDevice:
         assert device.queue.in_flight > 0
         assert device.clock.now_us < device.chip.busy_horizon_us()
         assert device.counters.barriers == 1
-        assert device.queue.epochs_closed == 1
+        assert device.queue_stats.epochs_closed == 1
 
     def test_barrier_does_not_clear_dirty_state(self):
         # A later *real* fsync must not be deduped away because an
@@ -89,7 +89,7 @@ class TestBarrierDevice:
         # but pays no drain stall (FTL-internal drains degrade to order
         # barriers on a barrier chip).
         assert not device.dirty_since_flush
-        assert device.barrier_stalls == 0
+        assert device.queue_stats.barrier_stalls == 0
         assert device.clock.now_us - before < device.chip.busy_horizon_us() - before
 
     def test_write_barrier_closes_epochs_around_the_page(self):
@@ -101,7 +101,7 @@ class TestBarrierDevice:
         # writes complete before the page, later writes after it.
         assert device.counters.barrier_writes == 1
         assert device.queue.current_epoch == 2
-        assert device.queue.epochs_closed == 2
+        assert device.queue_stats.epochs_closed == 2
         device.flush()
         for lpn, want in ((0, ("v", 0)), (1, ("commit", 1)), (2, ("v", 2))):
             assert device.read(lpn) == want
@@ -119,10 +119,10 @@ class TestBarrierDevice:
                 device.flush()
             results[barrier_mode] = device
         drain, barrier = results[False], results[True]
-        assert drain.barrier_stalls > 0
-        assert drain.stalls_avoided == 0
-        assert barrier.barrier_stalls == 0
-        assert barrier.stalls_avoided > 0
+        assert drain.queue_stats.barrier_stalls > 0
+        assert drain.queue_stats.stalls_avoided == 0
+        assert barrier.queue_stats.barrier_stalls == 0
+        assert barrier.queue_stats.stalls_avoided > 0
         # Order-only durability points commit strictly faster.
         assert barrier.clock.now_us < drain.clock.now_us
 
@@ -321,9 +321,9 @@ class TestBarrierSqlite:
         )
         assert drain_db.execute(query) == barrier_db.execute(query)
         # The barrier run never paid a drain stall on the commit path.
-        assert barrier_stack.device.barrier_stalls == 0
-        assert barrier_stack.device.stalls_avoided > 0
-        assert drain_stack.device.stalls_avoided == 0
+        assert barrier_stack.device.queue_stats.barrier_stalls == 0
+        assert barrier_stack.device.queue_stats.stalls_avoided > 0
+        assert drain_stack.device.queue_stats.stalls_avoided == 0
         assert barrier_stack.clock.now_us <= drain_stack.clock.now_us
 
 

@@ -6,7 +6,7 @@ its bookkeeping is checked here against the dumbest possible oracle: plain
 dicts and sets mutated by the same operation stream.  The randomized
 sequences mix programs, validity flips, tears, erases and power cycles —
 the same op mix the FTL/GC hot path performs — and the oracle comparison
-covers both the raw arrays and every numpy bulk query.
+covers both the raw arrays and every bulk query.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def assert_agrees(view: BlockStateView, oracle: NaiveStateOracle) -> None:
         assert view.write_points[block] == oracle.write_points.get(block, 0)
         assert view.erase_counts[block] == oracle.erase_counts.get(block, 0)
         assert view.valid_counts[block] == oracle.valid_count(block)
-    # numpy bulk queries against oracle-side recounts.
+    # Bulk queries against oracle-side recounts.
     states = list(oracle.states.values())
     assert view.programmed_page_count() == states.count(PAGE_PROGRAMMED)
     assert view.torn_page_count() == states.count(PAGE_TORN)

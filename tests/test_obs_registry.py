@@ -10,6 +10,8 @@ import os
 import tracemalloc
 
 import repro.obs
+from repro.flash.stats import FlashStats
+from repro.fs.ext4 import FsStats
 from repro.obs import (
     DEFAULT_SIZE_BOUNDS,
     NULL_COUNTER,
@@ -79,6 +81,48 @@ class TestEnabledRegistry:
         assert histogram.max == 300.0
 
 
+class TestBoundSources:
+    """Plain counter sets bound to a registry are read at export time."""
+
+    def test_bound_fields_export_under_their_names(self):
+        registry = MetricsRegistry(enabled=True)
+        stats = FlashStats()
+        registry.bind(stats, {"flash.page_programs": "page_programs"})
+        stats.page_programs += 7
+        assert registry.counter_value("flash.page_programs") == 7
+        assert registry.counters() == {"flash.page_programs": 7}
+        assert "counter,flash.page_programs,value,7" in registry.to_csv()
+        assert registry.as_dict()["counters"] == {"flash.page_programs": 7}
+        assert "[flash]" in registry.report()
+        assert registry.layers() == ["flash"]
+
+    def test_rebinding_the_same_object_counts_once(self):
+        registry = MetricsRegistry(enabled=True)
+        stats = FlashStats(barriers=3)
+        registry.bind(stats, {"ftl.barriers": "barriers"})
+        registry.bind(stats, {"ftl.barriers": "barriers"})
+        assert registry.counter_value("ftl.barriers") == 3
+
+    def test_objects_bound_under_one_name_sum(self):
+        registry = MetricsRegistry(enabled=True)
+        old, new = FsStats(fsync_calls=4), FsStats(fsync_calls=1)
+        registry.bind(old, {"fs.fsync_calls": "fsync_calls"})
+        registry.bind(new, {"fs.fsync_calls": "fsync_calls"})
+        assert registry.counter_value("fs.fsync_calls") == 5
+
+    def test_merge_from_folds_bound_values(self):
+        source = MetricsRegistry(enabled=True)
+        source.bind(FsStats(fsync_calls=2), {"fs.fsync_calls": "fsync_calls"})
+        merged = MetricsRegistry(enabled=True).merge_from([source, source])
+        assert merged.counter_value("fs.fsync_calls") == 4
+
+    def test_disabled_registry_binds_nothing(self):
+        registry = MetricsRegistry(enabled=False)
+        registry.bind(FsStats(fsync_calls=2), {"fs.fsync_calls": "fsync_calls"})
+        assert registry.counters() == {}
+        assert registry.counter_value("fs.fsync_calls") == 0
+
+
 class TestDisabledRegistry:
     def test_hands_out_shared_null_singletons(self):
         registry = MetricsRegistry(enabled=False)
@@ -97,7 +141,6 @@ class TestDisabledRegistry:
         obs = Observability(enabled=False)
         obs.annotate("mode", "X-FTL")
         assert obs.meta == {}
-        assert obs.verify_flash_stats() == []
 
     def test_disabled_obs_zero_tracked_allocations_on_hot_write_path(self):
         """The acceptance-criterion micro-benchmark: with metrics off, the

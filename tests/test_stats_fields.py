@@ -1,18 +1,35 @@
-"""Field-drift regression for :class:`repro.flash.stats.FlashStats`.
+"""Field-drift regression for the layers' plain counter sets.
 
-``snapshot()``/``delta()`` historically risked silently missing counters
-added later (a hand-maintained field list).  Both are now driven by
-``dataclasses.fields()``; these tests pin that property by exercising
-*every* field with a distinct value, so reintroducing an explicit list
-that misses one field fails immediately.  The obs cross-check mapping is
-held to the same standard: every FlashStats field must be paired with an
-obs counter.
+``FlashStats``, ``DeviceCounters``, ``FsStats`` and the smaller per-layer
+sets share one ``snapshot()``/``delta()``/``as_dict()`` implementation
+(:class:`repro.obs.CounterSet`) driven by ``dataclasses.fields()``.  A
+hand-maintained field list historically risked silently missing counters
+added later; these tests pin the property by exercising *every* field of
+every class with a distinct value, so reintroducing an explicit list that
+misses one field fails immediately.
 """
 
 from dataclasses import fields
 
+from repro.device.commands import DeviceCounters
+from repro.device.queue import QueueStats
 from repro.flash.stats import FlashStats
-from repro.obs import FLASH_STATS_OBS_PAIRS
+from repro.fs.ext4 import FsStats
+from repro.fs.journal import JournalStats
+from repro.fs.pagecache import CacheStats
+from repro.sqlite.database import ConnectionStats
+from repro.stack.session import SessionStats
+
+COUNTER_SETS = (
+    FlashStats,
+    DeviceCounters,
+    FsStats,
+    CacheStats,
+    JournalStats,
+    QueueStats,
+    SessionStats,
+    ConnectionStats,
+)
 
 # Distinct nonzero primes per field position: any copied/diffed field that
 # is dropped or crossed with another shows up as an exact-value mismatch.
@@ -22,60 +39,53 @@ _PRIMES = [
 ]
 
 
-def _distinct() -> FlashStats:
-    stats = FlashStats()
-    for i, f in enumerate(fields(FlashStats)):
+def _distinct(cls):
+    stats = cls()
+    for i, f in enumerate(fields(cls)):
         setattr(stats, f.name, _PRIMES[i])
     return stats
 
 
 def test_enough_probe_values():
-    assert len(fields(FlashStats)) <= len(_PRIMES)
+    for cls in COUNTER_SETS:
+        assert len(fields(cls)) <= len(_PRIMES), cls.__name__
 
 
 def test_snapshot_copies_every_field():
-    stats = _distinct()
-    snap = stats.snapshot()
-    assert snap == stats
-    assert snap is not stats
+    for cls in COUNTER_SETS:
+        stats = _distinct(cls)
+        snap = stats.snapshot()
+        assert snap == stats, cls.__name__
+        assert snap is not stats
 
 
 def test_snapshot_is_independent():
-    stats = _distinct()
-    snap = stats.snapshot()
-    for f in fields(FlashStats):
-        setattr(stats, f.name, getattr(stats, f.name) + 1000)
-    # The snapshot must not move with the live accumulator — for any field.
-    for f in fields(FlashStats):
-        assert getattr(snap, f.name) == getattr(stats, f.name) - 1000, f.name
+    for cls in COUNTER_SETS:
+        stats = _distinct(cls)
+        snap = stats.snapshot()
+        for f in fields(cls):
+            setattr(stats, f.name, getattr(stats, f.name) + 1000)
+        # The snapshot must not move with the live accumulator — for any field.
+        for f in fields(cls):
+            assert getattr(snap, f.name) == getattr(stats, f.name) - 1000, (cls.__name__, f.name)
 
 
 def test_delta_covers_every_field():
-    earlier = _distinct()
-    later = earlier.snapshot()
-    for i, f in enumerate(fields(FlashStats)):
-        setattr(later, f.name, getattr(later, f.name) + 10 * (i + 1))
-    diff = later.delta(earlier)
-    for i, f in enumerate(fields(FlashStats)):
-        assert getattr(diff, f.name) == 10 * (i + 1), f.name
-
-
-def test_diff_is_delta_alias():
-    earlier = FlashStats()
-    later = _distinct()
-    assert later.diff(earlier) == later.delta(earlier)
+    for cls in COUNTER_SETS:
+        earlier = _distinct(cls)
+        later = earlier.snapshot()
+        for i, f in enumerate(fields(cls)):
+            setattr(later, f.name, getattr(later, f.name) + 10 * (i + 1))
+        diff = later.delta(earlier)
+        assert type(diff) is cls
+        for i, f in enumerate(fields(cls)):
+            assert getattr(diff, f.name) == 10 * (i + 1), (cls.__name__, f.name)
 
 
 def test_as_dict_covers_every_field():
-    stats = _distinct()
-    as_dict = stats.as_dict()
-    assert set(as_dict) == {f.name for f in fields(FlashStats)}
-    for f in fields(FlashStats):
-        assert as_dict[f.name] == getattr(stats, f.name)
-
-
-def test_obs_cross_check_covers_every_field():
-    """Adding a FlashStats counter requires pairing it with an obs counter."""
-    paired = set(FLASH_STATS_OBS_PAIRS.values())
-    all_fields = {f.name for f in fields(FlashStats)}
-    assert paired == all_fields
+    for cls in COUNTER_SETS:
+        stats = _distinct(cls)
+        as_dict = stats.as_dict()
+        assert set(as_dict) == {f.name for f in fields(cls)}, cls.__name__
+        for f in fields(cls):
+            assert as_dict[f.name] == getattr(stats, f.name), (cls.__name__, f.name)
