@@ -5,12 +5,12 @@ Generates statistical twins of the four Android app traces (RL Benchmark,
 Gmail, Facebook, web browser) and replays them **as four tenants sharing
 one device** — the actual smartphone shape: every app hammers the same
 flash through its own namespace.  Each mode (WAL on the stock FTL, OFF on
-X-FTL) runs all four traces interleaved under the tenant scheduler, then
+X-FTL) runs all four traces interleaved under the deficit fairness policy, then
 prints per-app simulated time plus the device's per-tenant attribution
 (writes, commits, GC copybacks, p-tail commit latency).
 """
 
-from repro.stack import Mode, StackConfig, TenantScheduler, build_stack
+from repro.stack import Mode, SessionScheduler, StackConfig, build_stack
 from repro.ftl.base import FtlConfig
 from repro.workloads.android import ALL_PROFILES, AndroidTraceGenerator, TraceReplayer
 
@@ -24,7 +24,7 @@ def replay_as_tenants(mode: Mode) -> tuple[float, dict]:
             mode=mode, num_blocks=512, max_inodes=64, ftl=FtlConfig(gc_policy="fifo")
         )
     )
-    scheduler = TenantScheduler(stack, fairness="deficit", group_commit=False)
+    scheduler = SessionScheduler(stack, fairness="deficit", group_commit=False)
     for profile in ALL_PROFILES:
         name = profile.name.lower().replace(" ", "")
         tenant = stack.open_tenant(name)

@@ -27,7 +27,7 @@ from repro.flash.array import FlashArray
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.pagemap import PageMappingFTL
 from repro.ftl.xftl import XFTL
-from repro.stack import BenchStack, Mode, StackConfig, TenantScheduler, build_stack
+from repro.stack import BenchStack, Mode, SessionScheduler, StackConfig, build_stack
 from repro.ftl.base import FtlConfig
 from repro.sim.latency import OPENSSD_PROFILE, S830_PROFILE
 from repro.sim.rng import make_rng
@@ -1370,7 +1370,7 @@ def tenant_fairness(
                 ftl=FtlConfig(gc_policy="fifo"),
             )
         )
-        scheduler = TenantScheduler(stack, fairness=policy, group_commit=False)
+        scheduler = SessionScheduler(stack, fairness=policy, group_commit=False)
         clock = stack.clock
         latencies: dict[str, list[float]] = {}
 

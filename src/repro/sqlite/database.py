@@ -73,8 +73,8 @@ class Connection:
         self._explicit_txn = False
         # Group commit: when True (and in OFF mode), COMMIT stages the
         # transaction via Pager.stage_commit instead of committing inline;
-        # a SessionScheduler later commits the batch and calls
-        # finish_commit().  Inert in every other mode.
+        # the SessionScheduler later commits the parked batch in one group
+        # commit and calls finish_commit().  Inert in every other mode.
         self.defer_commits = False
         self._staged_txn = None
         self._commit_started_us = 0.0

@@ -983,7 +983,7 @@ def _run_sqlite_concurrent(point, after, tear, seed, ops_limit):
 
 
 def _run_tenant_stack(point, after, tear, seed, ops_limit):
-    """Two tenants share one X-FTL device through the tenant scheduler.
+    """Two tenants share one X-FTL device under deficit fairness.
 
     The multi-tenant edge the single-stack sweep cannot reach: a crash
     landing mid-commit of tenant A's transaction must leave tenant B's
@@ -993,10 +993,10 @@ def _run_tenant_stack(point, after, tear, seed, ops_limit):
     power failure; tenant A gets two sessions (weight 2) so crashes also
     land inside cross-tenant group commits.
     """
-    from repro.stack import TenantScheduler
+    from repro.stack import SessionScheduler
 
     stack = build_stack(StackConfig(mode=Mode.XFTL, **_SQLITE_STACK))
-    scheduler = TenantScheduler(stack, fairness="deficit")
+    scheduler = SessionScheduler(stack, fairness="deficit")
     alpha = stack.open_tenant("alpha", weight=2)
     beta = stack.open_tenant("beta", weight=1)
 

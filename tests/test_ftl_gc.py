@@ -373,8 +373,7 @@ class TestStackPlumbing:
                 pages_per_block=16,
                 gc_mode="background",
                 gc_policy="cost-benefit",
-                gc_hot_write_threshold=2,
-                gc_wear_spread_threshold=6,
+                ftl=FtlConfig(gc_hot_write_threshold=2, gc_wear_spread_threshold=6),
             )
         )
         assert stack.ftl.config.gc_mode == "background"

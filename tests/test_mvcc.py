@@ -208,7 +208,11 @@ def _run_sqlite_workload(retain_versions: int | None) -> dict:
             pages_per_block=32,
             page_size=4096,
             journal_pages=64,
-            retain_versions=retain_versions,
+            ftl=(
+                FtlConfig()
+                if retain_versions is None
+                else FtlConfig(retain_versions=retain_versions)
+            ),
         )
     )
     db = stack.open_database("t.db")
@@ -271,7 +275,7 @@ def _stack(retain: int = 4):
             mode=Mode.XFTL,
             num_blocks=256,
             pages_per_block=64,
-            retain_versions=retain,
+            ftl=FtlConfig(retain_versions=retain),
         )
     )
 

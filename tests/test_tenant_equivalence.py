@@ -3,14 +3,16 @@
 The tenant plumbing (registry on the chip, namespace ownership, tagged
 scheduler steps, NCQ share bookkeeping) is all host-side accounting — it
 must never charge simulated time, draw randomness, or change a single
-flash operation.  With one tenant both fairness policies degenerate to
-the plain round-robin interleaver, so a run through the tenant API has to
-be *bit-identical* to the same workload run through bare sessions:
+flash operation.  With one tenant both fairness policies run the same
+task order as plain sessions, so a run through the tenant API has to be
+*bit-identical* to the same workload run through bare sessions:
 identical FlashStats, device counters, elapsed simulated time and
 BlockStateView digests.
 
 Like tests/test_cmt_equivalence.py, both sides are computed in the same
-run — no baseline file to go stale.
+run — no baseline file to go stale.  ``tests/test_scheduler_baseline.py``
+additionally pins these runs against outputs recorded before tenant and
+session scheduling were merged into one loop.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.rng import make_rng
-from repro.stack import (
-    Mode,
-    SessionScheduler,
-    StackConfig,
-    TenantScheduler,
-    build_stack,
-)
+from repro.stack import Mode, SessionScheduler, StackConfig, build_stack
 
 from tests.test_channel_equivalence import state_digest
 
@@ -77,9 +73,9 @@ def _seed(db) -> None:
 def _run(mode: Mode, variant: str, queue_depth: int = 1, channels: int = 1) -> dict:
     """One workload, three plumbing variants that must not differ.
 
-    ``baseline`` uses bare sessions + SessionScheduler; ``round-robin``
-    and ``deficit`` run the identical tasks through one Tenant and the
-    TenantScheduler under each fairness policy.  File names and session
+    ``baseline`` runs bare sessions through ``SessionScheduler.run(tasks)``;
+    ``round-robin`` and ``deficit`` run the identical tasks through one
+    Tenant, assigned with ``add``, under each fairness policy.  File names and session
     names are identical across variants (the baseline writes into the
     same ``t0/`` prefix) so even directory metadata matches.
     """
@@ -99,7 +95,7 @@ def _run(mode: Mode, variant: str, queue_depth: int = 1, channels: int = 1) -> d
             tasks.append(_terminal(db, scheduler, index))
         scheduler.run(tasks)
     else:
-        scheduler = TenantScheduler(stack, fairness=variant)
+        scheduler = SessionScheduler(stack, fairness=variant)
         tenant = stack.open_tenant("t0")
         tasks = []
         for index in range(_N_SESSIONS):
@@ -131,7 +127,7 @@ def test_single_tenant_bit_identical_with_ncq(policy: str) -> None:
 def test_tenant_run_attributes_work() -> None:
     """Sanity: the equivalence run did attribute work to the tenant."""
     stack = build_stack(StackConfig(mode=Mode.XFTL, **_STACK))
-    scheduler = TenantScheduler(stack, fairness="deficit")
+    scheduler = SessionScheduler(stack, fairness="deficit")
     tenant = stack.open_tenant("t0")
     session = tenant.open_session()
     db = tenant.open_database("app0.db", cache_pages=_CACHE_PAGES, session=session)

@@ -8,7 +8,7 @@ from repro.errors import FsError
 from repro.device.queue import CommandQueue
 from repro.obs import NULL_OBS
 from repro.sim.clock import SimClock
-from repro.stack import Mode, StackConfig, TenantScheduler, build_stack
+from repro.stack import Mode, SessionScheduler, StackConfig, build_stack
 from repro.tenancy import TenantRegistry
 from repro.workloads.android import ALL_PROFILES, AndroidTraceGenerator, TraceReplayer
 
@@ -82,7 +82,7 @@ class TestNamespaces:
 class TestAttribution:
     def test_per_tenant_metrics_attributed(self):
         stack = _stack()
-        scheduler = TenantScheduler(stack, fairness="deficit")
+        scheduler = SessionScheduler(stack, fairness="deficit")
         tenants = [stack.open_tenant(name) for name in ("alice", "bob")]
         for tenant in tenants:
             db = tenant.open_database("app.db")
@@ -139,7 +139,7 @@ class TestAttribution:
     def test_unknown_fairness_policy_rejected(self):
         stack = _stack()
         with pytest.raises(ValueError):
-            TenantScheduler(stack, fairness="lottery")
+            SessionScheduler(stack, fairness="lottery")
 
 
 class TestQueueShares:
@@ -258,7 +258,7 @@ class TestAndroidTenants:
 
     def _run(self, fairness: str):
         stack = _stack(max_inodes=64)
-        scheduler = TenantScheduler(stack, fairness=fairness, group_commit=False)
+        scheduler = SessionScheduler(stack, fairness=fairness, group_commit=False)
         tenants = []
         for profile in ALL_PROFILES[: self.N_TENANTS]:
             name = profile.name.lower().replace(" ", "")
@@ -312,3 +312,54 @@ class TestFairness:
         assert rr["cold_commits"] == drr["cold_commits"]
         # ...but the cold tenants' tail is strictly better under deficit.
         assert drr["cold_p99_us"] < rr["cold_p99_us"]
+
+    def test_deficit_full_batch_does_not_restart_the_round(self):
+        """A batch filling mid-round must not hand lane 0 a fresh quantum.
+
+        Two equal-weight tenants whose steps cost 150 us each and park
+        with ``max_group=1``: serving each one-commit batch by restarting
+        the round at the first tenant let it bank a new quantum after
+        every batch and run to completion before the second tenant got a
+        turn.  Each tenant must instead get its quantum's worth of steps
+        per round.
+        """
+        from types import SimpleNamespace
+
+        from repro.stack.session import Park
+
+        clock = SimClock()
+        registry = TenantRegistry()
+        batches = []
+        stack = SimpleNamespace(
+            clock=clock,
+            chip=SimpleNamespace(tenants=registry),
+            device=SimpleNamespace(supports_transactions=True, queue=None),
+            fs=SimpleNamespace(
+                txn_manager=SimpleNamespace(commit_group=batches.append)
+            ),
+        )
+        order = []
+
+        class StagedCommit:
+            staged_txn = object()
+
+            def finish_commit(self):
+                pass
+
+        def task(name):
+            for step in range(5):
+                clock.advance(150.0)
+                order.append(f"{name}{step}")
+                yield Park(StagedCommit())
+
+        scheduler = SessionScheduler(
+            stack, fairness="deficit", max_group=1, quantum_us=200.0
+        )
+        for name in ("a", "b"):
+            tenant = SimpleNamespace(id=registry.register(name), weight=1)
+            scheduler.add(tenant, [task(name)])
+        scheduler.run()
+        assert order == [
+            "a0", "a1", "b0", "b1", "a2", "b2", "a3", "b3", "a4", "b4",
+        ]
+        assert len(batches) == scheduler.groups_committed == 10

@@ -126,9 +126,9 @@ class TestStackRuns:
                 stack, tenant=bob
             ),
         ]
-        from repro.stack import TenantScheduler
+        from repro.stack import SessionScheduler
 
-        scheduler = TenantScheduler(stack, fairness="deficit", group_commit=False)
+        scheduler = SessionScheduler(stack, fairness="deficit", group_commit=False)
         scheduler.add(alice, [tasks[0]])
         scheduler.add(bob, [tasks[1]])
         scheduler.run()
