@@ -10,6 +10,11 @@ payloads above a threshold spill into a chain of overflow pages (how SQLite
 stores Facebook's thumbnail blobs, §6.3.2).  A split keeps the root's page
 number stable, so the catalog never needs updating when a tree grows.
 
+Each page keeps its own used-byte count as cells are added, replaced and
+removed, as SQLite keeps a page's free-byte count (``nFree``) in its
+header, so checking the budget never re-encodes the page's keys.  An insert
+or a growing replace splits until the leaf holding the key fits.
+
 Range scans re-descend from the root to cross leaf boundaries instead of
 maintaining sibling links; this keeps deletion simple (empty pages are
 unlinked, no rebalancing — a documented simplification) at O(log n) per
@@ -30,15 +35,34 @@ CELL_OVERHEAD = 16
 INTERIOR_ENTRY_OVERHEAD = 12
 
 
+Cell = tuple[bytes, int | None, int]  # (local payload, overflow pno, total size)
+
+
+def _cell_bytes(key: tuple, cell: Cell) -> int:
+    return key_size_bytes(key) + len(cell[0]) + CELL_OVERHEAD
+
+
+def _separator_bytes(key: tuple) -> int:
+    return key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD
+
+
 class LeafPage:
-    """Leaf: sorted cells of (key, local payload, overflow pointer, size)."""
+    """Leaf: sorted cells of (key, local payload, overflow pointer, size).
+
+    The page keeps its own used-byte count, as SQLite keeps ``nFree`` in
+    each page header, so a budget check reads a field instead of encoding
+    every key.  All changes go through the methods below, which adjust the
+    count by the changed cell's size.  A page decoded from an image starts
+    with no count; :meth:`used_bytes` computes it on first use.
+    """
 
     TAG = "leaf"
 
     def __init__(self) -> None:
         self.keys: list[tuple] = []
         self.sort_keys: list[tuple] = []
-        self.cells: list[tuple[bytes, int | None, int]] = []  # (local, ovfl, total)
+        self.cells: list[Cell] = []
+        self._used: int | None = 0
 
     def to_image(self) -> tuple:
         return (self.TAG, tuple(self.keys), tuple(self.cells))
@@ -49,17 +73,59 @@ class LeafPage:
         page.keys = list(image[1])
         page.sort_keys = [key_sort_tuple(k) for k in page.keys]
         page.cells = list(image[2])
+        page._used = None
         return page
 
     def used_bytes(self) -> int:
-        return sum(
-            key_size_bytes(key) + len(cell[0]) + CELL_OVERHEAD
-            for key, cell in zip(self.keys, self.cells)
-        )
+        if self._used is None:
+            self._used = self._count()
+        return self._used
+
+    def _count(self) -> int:
+        return sum(map(_cell_bytes, self.keys, self.cells))
+
+    def insert(self, index: int, key: tuple, sort_key: tuple, cell: Cell) -> None:
+        self.keys.insert(index, key)
+        self.sort_keys.insert(index, sort_key)
+        self.cells.insert(index, cell)
+        if self._used is not None:
+            self._used += _cell_bytes(key, cell)
+
+    def replace(self, index: int, cell: Cell) -> int:
+        """Swap in a new cell for the same key; returns the byte growth."""
+        growth = len(cell[0]) - len(self.cells[index][0])
+        self.cells[index] = cell
+        if self._used is not None:
+            self._used += growth
+        return growth
+
+    def delete(self, index: int) -> None:
+        key = self.keys.pop(index)
+        del self.sort_keys[index]
+        cell = self.cells.pop(index)
+        if self._used is not None:
+            self._used -= _cell_bytes(key, cell)
+
+    def split(self) -> tuple["LeafPage", "LeafPage", tuple]:
+        """Halves by cell count, and the separator (the left half's last key)."""
+        middle = len(self.keys) // 2
+        if middle == 0:
+            raise DatabaseError("page too small for a single cell")
+        left, right = LeafPage(), LeafPage()
+        left.keys, right.keys = self.keys[:middle], self.keys[middle:]
+        left.sort_keys, right.sort_keys = self.sort_keys[:middle], self.sort_keys[middle:]
+        left.cells, right.cells = self.cells[:middle], self.cells[middle:]
+        left._used = left._count()
+        right._used = self.used_bytes() - left._used
+        return left, right, left.keys[-1]
 
 
 class InteriorPage:
-    """Interior: separator keys and child page numbers (len+1 children)."""
+    """Interior: separator keys and child page numbers (len+1 children).
+
+    Like :class:`LeafPage`, it keeps its used-byte count up to date through
+    its methods and computes it lazily after a decode.
+    """
 
     TAG = "interior"
 
@@ -67,6 +133,7 @@ class InteriorPage:
         self.keys: list[tuple] = []
         self.sort_keys: list[tuple] = []
         self.children: list[int] = []
+        self._used: int | None = 0
 
     def to_image(self) -> tuple:
         return (self.TAG, tuple(self.keys), tuple(self.children))
@@ -77,10 +144,51 @@ class InteriorPage:
         page.keys = list(image[1])
         page.sort_keys = [key_sort_tuple(k) for k in page.keys]
         page.children = list(image[2])
+        page._used = None
         return page
 
     def used_bytes(self) -> int:
-        return sum(key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD for key in self.keys)
+        if self._used is None:
+            self._used = self._count()
+        return self._used
+
+    def _count(self) -> int:
+        return sum(map(_separator_bytes, self.keys))
+
+    def insert(self, index: int, separator: tuple, sort_key: tuple, right_pno: int) -> None:
+        """Add ``separator`` at ``index`` with ``right_pno`` as the child to its right."""
+        self.keys.insert(index, separator)
+        self.sort_keys.insert(index, sort_key)
+        self.children.insert(index + 1, right_pno)
+        if self._used is not None:
+            self._used += _separator_bytes(separator)
+
+    def remove_child(self, child_index: int) -> None:
+        """Unlink ``children[child_index]`` and the separator next to it."""
+        del self.children[child_index]
+        if not self.keys:
+            return
+        # The separator between children[i-1] and children[i] is keys[i-1].
+        drop = child_index - 1 if child_index > 0 else 0
+        separator = self.keys.pop(drop)
+        del self.sort_keys[drop]
+        if self._used is not None:
+            self._used -= _separator_bytes(separator)
+
+    def split(self) -> tuple["InteriorPage", "InteriorPage", tuple]:
+        """Halves around the middle separator, which moves up to the parent."""
+        middle = len(self.keys) // 2
+        separator = self.keys[middle]
+        left, right = InteriorPage(), InteriorPage()
+        left.keys = self.keys[:middle]
+        left.sort_keys = self.sort_keys[:middle]
+        left.children = self.children[: middle + 1]
+        right.keys = self.keys[middle + 1 :]
+        right.sort_keys = self.sort_keys[middle + 1 :]
+        right.children = self.children[middle + 1 :]
+        left._used = left._count()
+        right._used = self.used_bytes() - left._used - _separator_bytes(separator)
+        return left, right, separator
 
 
 class OverflowPage:
@@ -162,7 +270,7 @@ class BTree:
         cursor_open = lo_open
         hi_sort = key_sort_tuple(hi) if hi is not None else None
         while True:
-            leaf, _path = self._descend(cursor or (), after=cursor_open)
+            leaf, path = self._descend(cursor or (), after=cursor_open)
             if cursor is None:
                 start = 0
             else:
@@ -183,10 +291,16 @@ class BTree:
                 emitted = True
             if not leaf.keys:
                 return
-            last = leaf.sort_keys[-1]
-            if not emitted and cursor is not None and last <= cursor:
-                return  # no keys beyond the cursor anywhere to the right
-            cursor = last
+            upper = self._upper_separator(path)
+            if upper is None:
+                last = leaf.sort_keys[-1]
+                if not emitted and cursor is not None and last <= cursor:
+                    return  # rightmost leaf: no keys beyond the cursor
+                cursor = last
+            else:
+                # Continue from the separator, not from the leaf's last key:
+                # a delete can leave the separator above that key.
+                cursor = upper
             cursor_open = True  # continue strictly after this leaf
 
     def last_key(self) -> tuple | None:
@@ -208,22 +322,21 @@ class BTree:
         """Insert ``key`` -> ``payload``; duplicate keys require ``replace``."""
         sort_key = key_sort_tuple(key)
         leaf, path = self._descend(sort_key)
+        leaf_pno = path[-1][0]
         index = self._find_in_leaf(leaf, sort_key)
         if index is not None:
             if not replace:
                 raise DatabaseError(f"duplicate key {key!r}")
             self._free_overflow(leaf.cells[index][1])
-            leaf.cells[index] = self._make_cell(payload)
-            self._dirty(path[-1][0] if path else self.root_pno, leaf)
-            return
-        position = bisect.bisect_left(leaf.sort_keys, sort_key)
-        leaf.keys.insert(position, key)
-        leaf.sort_keys.insert(position, sort_key)
-        leaf.cells.insert(position, self._make_cell(payload))
-        leaf_pno = path[-1][0] if path else self.root_pno
-        self._dirty(leaf_pno, leaf)
-        if leaf.used_bytes() > self.capacity:
-            self._split(path)
+            grew = leaf.replace(index, self._make_cell(payload)) > 0
+            self._dirty(leaf_pno, leaf)
+        else:
+            position = bisect.bisect_left(leaf.sort_keys, sort_key)
+            leaf.insert(position, key, sort_key, self._make_cell(payload))
+            self._dirty(leaf_pno, leaf)
+            grew = True
+        if grew and leaf.used_bytes() > self.capacity:
+            self._split_to_fit(sort_key, path)
 
     def delete(self, key: tuple) -> bool:
         """Remove ``key``; returns whether it existed."""
@@ -233,12 +346,10 @@ class BTree:
         if index is None:
             return False
         self._free_overflow(leaf.cells[index][1])
-        del leaf.keys[index]
-        del leaf.sort_keys[index]
-        del leaf.cells[index]
-        leaf_pno = path[-1][0] if path else self.root_pno
+        leaf.delete(index)
+        leaf_pno = path[-1][0]
         self._dirty(leaf_pno, leaf)
-        if not leaf.keys and path:
+        if not leaf.keys:
             self._remove_empty(path)
         return True
 
@@ -284,6 +395,15 @@ class BTree:
         return page, path
 
     @staticmethod
+    def _upper_separator(path: list[tuple[int, Any, int]]) -> tuple | None:
+        """Sort key of the separator bounding the leaf at the end of ``path``
+        from above, or None for the rightmost leaf."""
+        for _pno, page, child_index in reversed(path[:-1]):
+            if child_index < len(page.sort_keys):
+                return page.sort_keys[child_index]
+        return None
+
+    @staticmethod
     def _find_in_leaf(leaf: LeafPage, sort_key: tuple) -> int | None:
         index = bisect.bisect_left(leaf.sort_keys, sort_key)
         if index < len(leaf.sort_keys) and leaf.sort_keys[index] == sort_key:
@@ -296,7 +416,7 @@ class BTree:
 
     # -------- cell / overflow handling ----------------------------------
 
-    def _make_cell(self, payload: bytes) -> tuple[bytes, int | None, int]:
+    def _make_cell(self, payload: bytes) -> Cell:
         if len(payload) <= self.max_local:
             return (payload, None, len(payload))
         local = payload[: self.max_local]
@@ -317,7 +437,7 @@ class BTree:
             prev, prev_pno = page, pno
         return (local, first_pno, len(payload))
 
-    def _load_payload(self, cell: tuple[bytes, int | None, int]) -> bytes:
+    def _load_payload(self, cell: Cell) -> bytes:
         local, overflow_pno, total = cell
         if overflow_pno is None:
             return local
@@ -342,14 +462,28 @@ class BTree:
 
     # -------- structural changes -----------------------------------------
 
-    def _split(self, path: list[tuple[int, Any, int]]) -> None:
-        """Split the overfull page at the end of ``path``, cascading upward."""
+    def _split_to_fit(self, sort_key: tuple, path: list[tuple[int, Any, int]]) -> None:
+        """Split the overfull leaf at the end of ``path`` until the leaf
+        holding ``sort_key`` fits.
+
+        Only that half can stay over budget: the other half's cells all fit
+        before the cell for ``sort_key`` was added or grew.
+        """
+        while True:
+            left, right, separator = self._split(path)
+            half = left if sort_key <= key_sort_tuple(separator) else right
+            if half.used_bytes() <= self.capacity:
+                return
+            _leaf, path = self._descend(sort_key)
+
+    def _split(self, path: list[tuple[int, Any, int]]) -> tuple[Any, Any, tuple]:
+        """Split the overfull page at the end of ``path``, cascading upward.
+
+        Returns the two halves and the separator of the page split here.
+        """
         pno, page, _ = path[-1]
         parents = path[:-1]
-        if isinstance(page, LeafPage):
-            left, right, separator = self._split_leaf(page)
-        else:
-            left, right, separator = self._split_interior(page)
+        left, right, separator = page.split()
 
         if not parents:
             # Root split: keep the root page number stable.
@@ -358,46 +492,19 @@ class BTree:
             self.pager.put_new(left_pno, left)
             self.pager.put_new(right_pno, right)
             new_root = InteriorPage()
-            new_root.keys = [separator]
-            new_root.sort_keys = [key_sort_tuple(separator)]
-            new_root.children = [left_pno, right_pno]
+            new_root.children = [left_pno]
+            new_root.insert(0, separator, key_sort_tuple(separator), right_pno)
             self.pager.mark_dirty(pno, new_root)
-            return
+            return left, right, separator
 
         parent_pno, parent, child_index = parents[-1]
         right_pno = self.pager.allocate()
         self.pager.mark_dirty(pno, left)
         self.pager.put_new(right_pno, right)
-        sort_sep = key_sort_tuple(separator)
-        parent.keys.insert(child_index, separator)
-        parent.sort_keys.insert(child_index, sort_sep)
-        parent.children.insert(child_index + 1, right_pno)
+        parent.insert(child_index, separator, key_sort_tuple(separator), right_pno)
         self.pager.mark_dirty(parent_pno, parent)
         if parent.used_bytes() > self.capacity:
             self._split(parents)
-
-    @staticmethod
-    def _split_leaf(page: LeafPage) -> tuple[LeafPage, LeafPage, tuple]:
-        middle = len(page.keys) // 2
-        if middle == 0:
-            raise DatabaseError("page too small for a single cell")
-        left, right = LeafPage(), LeafPage()
-        left.keys, right.keys = page.keys[:middle], page.keys[middle:]
-        left.sort_keys, right.sort_keys = page.sort_keys[:middle], page.sort_keys[middle:]
-        left.cells, right.cells = page.cells[:middle], page.cells[middle:]
-        return left, right, left.keys[-1]
-
-    @staticmethod
-    def _split_interior(page: InteriorPage) -> tuple[InteriorPage, InteriorPage, tuple]:
-        middle = len(page.keys) // 2
-        separator = page.keys[middle]
-        left, right = InteriorPage(), InteriorPage()
-        left.keys = page.keys[:middle]
-        left.sort_keys = page.sort_keys[:middle]
-        left.children = page.children[: middle + 1]
-        right.keys = page.keys[middle + 1 :]
-        right.sort_keys = page.sort_keys[middle + 1 :]
-        right.children = page.children[middle + 1 :]
         return left, right, separator
 
     def _remove_empty(self, path: list[tuple[int, Any, int]]) -> None:
@@ -407,12 +514,7 @@ class BTree:
         if not parents:
             return  # empty root stays (an empty tree)
         parent_pno, parent, child_index = parents[-1]
-        del parent.children[child_index]
-        if parent.keys:
-            # The separator between children[i-1] and children[i] is keys[i-1].
-            drop = child_index - 1 if child_index > 0 else 0
-            del parent.keys[drop]
-            del parent.sort_keys[drop]
+        parent.remove_child(child_index)
         self.pager.free(pno)
         self.pager.mark_dirty(parent_pno, parent)
         if not parent.children:

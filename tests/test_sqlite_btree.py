@@ -9,8 +9,16 @@ from repro.errors import DatabaseError
 from repro.flash import FlashChip, FlashGeometry
 from repro.fs import Ext4, JournalMode
 from repro.ftl import FtlConfig, XFTL
-from repro.sqlite.btree import BTree, page_from_image
+from repro.sqlite.btree import (
+    CELL_OVERHEAD,
+    INTERIOR_ENTRY_OVERHEAD,
+    BTree,
+    InteriorPage,
+    LeafPage,
+    page_from_image,
+)
 from repro.sqlite.pager import Pager, SqliteJournalMode
+from repro.sqlite.records import key_size_bytes
 
 
 def make_pager(page_size=2048, num_blocks=192):
@@ -19,6 +27,26 @@ def make_pager(page_size=2048, num_blocks=192):
     fs = Ext4.mkfs(device, JournalMode.NONE, journal_pages=12, cache_capacity=8192)
     pager = Pager(fs, "t.db", SqliteJournalMode.OFF, page_decoder=page_from_image)
     return pager
+
+
+def tree_pages(tree):
+    """Every leaf and interior page of ``tree``."""
+    pending = [tree.root_pno]
+    while pending:
+        page = tree.pager.get(pending.pop())
+        yield page
+        if isinstance(page, InteriorPage):
+            pending.extend(page.children)
+
+
+def counted_bytes(page):
+    """A page's used bytes, summed from scratch."""
+    if isinstance(page, LeafPage):
+        return sum(
+            key_size_bytes(key) + len(cell[0]) + CELL_OVERHEAD
+            for key, cell in zip(page.keys, page.cells)
+        )
+    return sum(key_size_bytes(key) + INTERIOR_ENTRY_OVERHEAD for key in page.keys)
 
 
 @pytest.fixture
@@ -101,6 +129,21 @@ class TestScans:
     def test_scan_beyond_end(self, tree):
         self.seed(tree, n=5)
         assert list(tree.scan(lo=(100,))) == []
+
+    def test_scan_crosses_leaf_whose_last_key_was_deleted(self):
+        pager = make_pager(page_size=512)
+        pager.begin()
+        tree = BTree.create(pager)
+        for i in range(30):
+            tree.insert((i,), bytes(100))
+        separator = tree.pager.get(tree.root_pno).keys[0]
+        tree.delete(separator)  # the separator now sits above its leaf's last key
+        remaining = [i for i in range(30) if (i,) != separator]
+        assert [k[0] for k, _ in tree.scan()] == remaining
+        assert [k[0] for k, _ in tree.scan(lo=separator)] == [
+            i for i in remaining if i > separator[0]
+        ]
+        pager.commit()
 
 
 class TestSplitsAndStructure:
@@ -240,4 +283,65 @@ class TestBtreeProperties:
             tree.insert((key,), b"x")
         scanned = [k[0] for k, _ in tree.scan()]
         assert scanned == sorted(keys)
+        pager.commit()
+
+
+class TestPageByteCount:
+    def test_growing_replace_splits_leaf(self):
+        pager = make_pager()
+        pager.begin()
+        tree = BTree.create(pager)
+        for i in range(40):
+            tree.insert((i,), b"x")
+        grown = bytes(tree.max_local)
+        for i in range(40):
+            tree.insert((i,), grown, replace=True)
+        for page in tree_pages(tree):
+            assert counted_bytes(page) <= tree.capacity
+        assert [(k[0], p) for k, p in tree.scan()] == [(i, grown) for i in range(40)]
+        pager.commit()
+
+    ops = st.lists(
+        st.tuples(
+            st.sampled_from(["put", "delete"]),
+            st.integers(min_value=0, max_value=40),
+            st.integers(min_value=1, max_value=300),  # max_local is 112
+        ),
+        max_size=60,
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(committed=ops, rolled_back=ops, after=ops)
+    def test_count_matches_pages(self, committed, rolled_back, after):
+        pager = make_pager(page_size=512)
+        pager.begin()
+        tree = BTree.create(pager)
+        reference = {}
+
+        def run(ops, model):
+            for op, key, size in ops:
+                # Long keys make separators big enough for interior splits.
+                tree_key = (key, "k" * 60)
+                if op == "put":
+                    payload = bytes([key]) * size
+                    tree.insert(tree_key, payload, replace=True)
+                    model[key] = payload
+                else:
+                    assert tree.delete(tree_key) == (key in model)
+                    model.pop(key, None)
+                for page in tree_pages(tree):
+                    assert page.used_bytes() == counted_bytes(page)
+                    assert page.used_bytes() <= tree.capacity
+
+        run(committed, reference)
+        pager.commit()
+        pager.begin()
+        run(rolled_back, dict(reference))
+        pager.rollback()
+        # Pages the rolled-back transaction dirtied are decoded afresh,
+        # so they start with no count.
+        pager.begin()
+        run(after, reference)
+        assert {k[0]: p for k, p in tree.scan()} == reference
+        run([("delete", key, 0) for key in list(reference)], reference)
         pager.commit()

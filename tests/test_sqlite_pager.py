@@ -34,9 +34,7 @@ def leaf(*pairs):
     for key, payload in pairs:
         from repro.sqlite.records import key_sort_tuple
 
-        page.keys.append(key)
-        page.sort_keys.append(key_sort_tuple(key))
-        page.cells.append((payload, None, len(payload)))
+        page.insert(len(page.keys), key, key_sort_tuple(key), (payload, None, len(payload)))
     return page
 
 
@@ -99,7 +97,7 @@ class TestTransactionLifecycle:
         pager.commit()
         pager.begin()
         page = pager.get(pno)
-        page.cells[0] = (b"new", None, 3)
+        page.replace(0, (b"new", None, 3))
         pager.mark_dirty(pno, page)
         pager.rollback()
         assert pager.get(pno).cells[0][0] == b"old"
@@ -174,7 +172,7 @@ class TestWalMode:
         pager.commit()
         pager.begin()
         page = pager.get(pno)
-        page.cells[0] = (b"v2", None, 2)
+        page.replace(0, (b"v2", None, 2))
         pager.mark_dirty(pno, page)
         pager.commit()
         pager._cache.clear()  # force re-read from storage
@@ -190,7 +188,7 @@ class TestWalMode:
         for round_number in range(8):
             pager.begin()
             page = pager.get(pno)
-            page.cells[0] = (b"r%d" % round_number, None, 2)
+            page.replace(0, (b"r%d" % round_number, None, 2))
             pager.mark_dirty(pno, page)
             pager.commit()
         assert pager._wal_frames < 5  # the WAL was reset by a checkpoint
@@ -258,7 +256,7 @@ class TestStealSpill:
         pager.begin()
         for i, pno in enumerate(pnos):
             page = pager.get(pno)
-            page.cells[0] = (b"doomed%d" % i, None, 7)
+            page.replace(0, (b"doomed%d" % i, None, 7))
             pager.mark_dirty(pno, page)
         pager.rollback()
         for i, pno in enumerate(pnos):
